@@ -20,6 +20,7 @@ from .errors import ConfigError, DimensionError, FormatError, ParameterError
 TENSOR_MAGIC = b"MMTENS01"
 SPLIT_NAMES = ("labelled_train", "unlabelled_train", "validation", "test")
 KINDS = ("tubes", "blobs")
+IMAGE_SUFFIX = ".image.mmt"
 
 
 @dataclass
@@ -322,7 +323,7 @@ def read_tensor(path) -> np.ndarray:
 # case-set on disk
 
 def _image_path(case_id: str) -> str:
-    return f"{case_id}.image.mmt"
+    return case_id + IMAGE_SUFFIX
 
 
 def _mask_path(case_id: str) -> str:
@@ -333,8 +334,8 @@ def save_caseset(directory, caseset: CaseSet) -> str:
     """Write every case as an image/mask tensor pair plus a manifest.
 
     Manifest lines are "path labelled split", one per case, paths relative
-    to the manifest. The mask path is the image path with ".image."
-    replaced by ".mask.". Returns the manifest path.
+    to the manifest. Image paths end in ".image.mmt"; the mask path swaps
+    that suffix for ".mask.mmt". Returns the manifest path.
     """
     caseset.validate()
     os.makedirs(directory, exist_ok=True)
@@ -381,13 +382,15 @@ def load_caseset(manifest_path) -> CaseSet:
             if split_name not in SPLIT_NAMES:
                 raise FormatError(f"manifest line {ln}: unknown split "
                                   f"{split_name!r}")
+            if not path.endswith(IMAGE_SUFFIX):
+                raise FormatError(f"manifest line {ln}: image path {path!r} "
+                                  f"must end in {IMAGE_SUFFIX}")
+            case_id = path[:-len(IMAGE_SUFFIX)]
             image = read_tensor(os.path.join(base, path))
-            mask = read_tensor(os.path.join(base,
-                                            path.replace(".image.", ".mask.")))
+            mask = read_tensor(os.path.join(base, _mask_path(case_id)))
             if image.shape[0] != mask.shape[0] or image.shape[2:] != mask.shape[2:]:
                 raise FormatError(f"manifest line {ln}: image {image.shape} "
                                   f"and mask {mask.shape} disagree")
-            case_id = path[:-len(".image.mmt")] if path.endswith(".image.mmt") else path
             split.setdefault(split_name, []).append(len(cases))
             cases.append(Case(case_id, image.astype(np.float64),
                               mask.astype(np.float64), labelled == "1"))

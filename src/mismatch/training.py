@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (Tape, Tensor, add, as_tensor, backward, mse, record_op,
-                       scale, stop_gradient)
+                       scale, stop_gradient, take_batch)
 from .errors import (ConfigError, ContractError, DimensionError, FormatError,
                      NumericalAbort)
 from .nets import (ModelParams, clone_params, decoder_param_names,
@@ -216,11 +216,14 @@ def train(config: TrainConfig, model: ModelParams, labelled_stream,
 
     Every step draws one labelled batch (Dice per head) and, when an
     unlabelled stream is given, one unlabelled batch (consistency between
-    heads, weighted by the warm-up schedule). Epoch length follows the
-    unlabelled stream when present, the labelled stream otherwise; the
-    labelled stream cycles independently of epoch boundaries. Returns
-    (final params, averaged params over the last save_last_k epoch-end
-    snapshots, history rows).
+    heads, weighted by the warm-up schedule). While that weight is
+    positive both batches share one forward pass; at zero weight the
+    unlabelled forward runs off the tape and its consistency is only
+    logged, so the labelled graph equals the supervised one. Epoch length
+    follows the unlabelled stream when present, the labelled stream
+    otherwise; the labelled stream cycles independently of epoch
+    boundaries. Returns (final params, averaged params over the last
+    save_last_k epoch-end snapshots, history rows).
 
     With stop_gradient_audit=True each step additionally differentiates
     each consistency summand alone and verifies the detached head's own
@@ -255,8 +258,18 @@ def train(config: TrainConfig, model: ModelParams, labelled_stream,
             if stop_gradient_audit and xu is not None:
                 _audit_stop_gradient(model, named, xu, step)
 
+            joint = xu is not None and a > 0.0
             with Tape():
-                probs = model_forward(model, Tensor(xb))
+                if joint:
+                    # One forward over labelled + unlabelled samples; every
+                    # norm is per sample, so each half equals its own forward.
+                    nb = len(xb)
+                    heads = model_forward(model,
+                                          Tensor(np.concatenate([xb, xu])))
+                    probs = [take_batch(p, 0, nb) for p in heads]
+                    up = [take_batch(p, nb, p.shape[0]) for p in heads]
+                else:
+                    probs = model_forward(model, Tensor(xb))
                 target = Tensor(yb)
                 d1 = dice_loss(probs[0], target, config.dice_smooth)
                 total = d1
@@ -265,14 +278,17 @@ def train(config: TrainConfig, model: ModelParams, labelled_stream,
                     d2 = dice_loss(probs[1], target, config.dice_smooth)
                     d2_val = d2.item()
                     total = add(d1, d2)
-                cons_val = 0.0
-                if xu is not None:
-                    up = model_forward(model, Tensor(xu))
+                if joint:
                     cons = consistency_loss(up[0], up[1],
                                             config.consistency_mode)
-                    cons_val = cons.item()
-                    if a > 0.0:
-                        total = add(total, scale(cons, a))
+                    total = add(total, scale(cons, a))
+            cons_val = cons.item() if joint else 0.0
+            if xu is not None and not joint:
+                # zero weight: the term is only logged, so it stays off the
+                # tape and the labelled graph is the supervised one
+                up = model_forward(model, Tensor(xu))
+                cons_val = consistency_loss(up[0], up[1],
+                                            config.consistency_mode).item()
 
             total_val = total.item()
             if not np.isfinite(total_val):
@@ -353,7 +369,7 @@ def load_checkpoint(path):
     pos2 = need(4, pos, "echo length")
     (echo_len,) = struct.unpack_from("<I", buf, pos)
     pos = need(echo_len, pos2, "config echo")
-    echo_text = buf[pos2:pos].decode("utf-8")
+    echo_text = _utf8(buf, pos2, pos, "config echo")
     echo = {}
     for line in echo_text.splitlines():
         if line:
@@ -367,7 +383,7 @@ def load_checkpoint(path):
         pos2 = need(4, pos, "name length")
         (name_len,) = struct.unpack_from("<I", buf, pos)
         pos = need(name_len, pos2, "array name")
-        name = buf[pos2:pos].decode("utf-8")
+        name = _utf8(buf, pos2, pos, "array name")
         pos2 = need(4, pos, "rank")
         (rank,) = struct.unpack_from("<I", buf, pos)
         pos = need(4 * rank, pos2, "dims")
@@ -380,6 +396,14 @@ def load_checkpoint(path):
     if pos != len(buf):
         raise FormatError("trailing bytes after last array", pos)
     return arrays, echo
+
+
+def _utf8(buf: bytes, start: int, stop: int, what: str) -> str:
+    try:
+        return buf[start:stop].decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"checkpoint {what} is not valid UTF-8",
+                          start + e.start) from None
 
 
 def load_model(path, dtype=np.float32) -> tuple[ModelParams, dict[str, str]]:

@@ -94,6 +94,34 @@ def naive_upsample_bilinear2(x):
     return out
 
 
+def scatter_upsample_bilinear2_backward(g):
+    """Adjoint of x2 align-corners-false bilinear upsampling: each output
+    gradient is scattered with np.add.at onto its two clamped source
+    columns, then onto their two clamped source rows."""
+    n, c, h2, w2 = g.shape
+
+    def taps(m):
+        lo, hi, frac = [], [], []
+        for i in range(2 * m):
+            s = (i + 0.5) / 2.0 - 0.5
+            i0 = math.floor(s)
+            lo.append(min(max(i0, 0), m - 1))
+            hi.append(min(max(i0 + 1, 0), m - 1))
+            frac.append(s - i0)
+        return lo, hi, np.array(frac, dtype=g.dtype)
+
+    r0, r1, fy = taps(h2 // 2)
+    c0, c1, fx = taps(w2 // 2)
+    grows = np.zeros((n, c, h2, w2 // 2), dtype=g.dtype)
+    np.add.at(grows, (slice(None), slice(None), slice(None), c0), g * (1 - fx))
+    np.add.at(grows, (slice(None), slice(None), slice(None), c1), g * fx)
+    gx = np.zeros((n, c, h2 // 2, w2 // 2), dtype=g.dtype)
+    fy = fy[:, None]
+    np.add.at(gx, (slice(None), slice(None), r0), grows * (1 - fy))
+    np.add.at(gx, (slice(None), slice(None), r1), grows * fy)
+    return gx
+
+
 def naive_average(arrays):
     """Elementwise mean of equally shaped arrays via explicit loops."""
     out = np.zeros_like(arrays[0])

@@ -1,14 +1,17 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from mismatch.autodiff import (Tape, Tensor, add, backward, concat_channels,
                                conv2d, instance_norm, maxpool2, mse, mul,
                                relu, same_padding, scale, sigmoid,
-                               stop_gradient, upsample_bilinear2)
+                               stop_gradient, take_batch, upsample_bilinear2)
 from mismatch.errors import DimensionError, GraphError, ParameterError
 from gradcheck import check_grads
 from oracles import (naive_conv2d, naive_maxpool2, naive_upsample_bilinear2,
-                     rel_err)
+                     rel_err, scatter_upsample_bilinear2_backward)
 
 
 def leaf(rng, *shape):
@@ -27,6 +30,21 @@ def test_conv2d_matches_naive_oracle():
         got = conv2d(x, w, b, padding=p, dilation=d).data
         want = naive_conv2d(x.data, w.data, b.data, p, d)
         assert rel_err(got, want) < 1e-12
+
+
+def test_conv2d_value_only_batch_groups_match_whole_batch():
+    # 4 samples of 16x48x48 in float64 need ~11 MB of columns, over the
+    # 8 MiB budget, so the value-only call runs in sample groups (3 + 1);
+    # the recorded call keeps the whole batch for its backward
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.standard_normal((4, 16, 48, 48)))
+    w = Tensor(rng.standard_normal((4, 16, 3, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(4))
+    grouped = conv2d(x, w, b, padding=1).data
+    with Tape() as tape:
+        whole = conv2d(x, w, b, padding=1).data
+    assert len(tape.nodes) == 1
+    assert rel_err(grouped, whole) < 1e-12
 
 
 def test_conv2d_identity_kernel_is_identity():
@@ -109,6 +127,18 @@ def test_upsample_matches_naive_oracle_bitwise():
         np.testing.assert_array_equal(got, want)
 
 
+def test_upsample_backward_matches_scatter_oracle():
+    rng = np.random.default_rng(30)
+    for shape in [(1, 1, 1, 1), (1, 2, 1, 5), (2, 1, 4, 1), (2, 3, 5, 7)]:
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        with Tape() as tape:
+            out = upsample_bilinear2(x)
+        g = rng.standard_normal(out.shape)
+        (got,) = tape.nodes[-1].backward_fn(g)
+        assert got.shape == shape
+        assert rel_err(got, scatter_upsample_bilinear2_backward(g)) < 1e-12
+
+
 def test_upsample_worked_example():
     x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
     want = np.array([[1.0, 1.25, 1.75, 2.0],
@@ -128,6 +158,11 @@ def test_sigmoid_is_saturating_and_never_overflows():
     assert out[2] == 0.5
     assert out[4] == 1.0
     assert np.all(np.diff(out) >= 0)
+    x32 = Tensor(np.array([-100.0, 100.0], dtype=np.float32))
+    with np.errstate(over="raise"):
+        out32 = sigmoid(x32).data
+    assert out32.dtype == np.float32
+    assert 0.0 <= out32[0] < 1e-30 and out32[1] == 1.0
 
 
 def test_sigmoid_bounds_property():
@@ -233,11 +268,12 @@ def test_grad_sigmoid():
 
 def test_grad_conv2d_plain_and_dilated():
     rng = np.random.default_rng(24)
-    for d, p in [(1, 1), (5, 5)]:
-        x = leaf(rng, 1, 2, 8, 8)
+    for d, p in [(1, 1), (5, 5), (1, 0)]:
+        x = leaf(rng, 2, 2, 8, 8)
         w = leaf(rng, 3, 2, 3, 3)
         b = leaf(rng, 3)
-        r = Tensor(rng.standard_normal((1, 3, 8, 8)))
+        side = 8 + 2 * p - 2 * d
+        r = Tensor(rng.standard_normal((2, 3, side, side)))
         err = check_grads(lambda: mse(conv2d(x, w, b, p, dilation=d), r),
                           [x, w, b])
         assert err < 1e-6
@@ -273,6 +309,21 @@ def test_grad_concat_channels():
     a, b = leaf(rng, 1, 2, 4, 4), leaf(rng, 1, 3, 4, 4)
     r = Tensor(rng.standard_normal((1, 5, 4, 4)))
     assert check_grads(lambda: mse(concat_channels(a, b), r), [a, b]) < 1e-6
+
+
+def test_take_batch_values_grad_and_range():
+    rng = np.random.default_rng(31)
+    x = leaf(rng, 3, 2, 4, 4)
+    np.testing.assert_array_equal(take_batch(x, 1, 3).data, x.data[1:3])
+    r = Tensor(rng.standard_normal((2, 2, 4, 4)))
+    assert check_grads(lambda: mse(take_batch(x, 1, 3), r), [x]) < 1e-6
+    x.grad[...] = 0
+    with Tape():
+        backward(mse(take_batch(x, 0, 1), Tensor(np.zeros((1, 2, 4, 4)))))
+    assert np.all(x.grad[1:] == 0) and np.any(x.grad[0] != 0)
+    for start, stop in [(2, 2), (-1, 1), (0, 4)]:
+        with pytest.raises(DimensionError):
+            take_batch(x, start, stop)
 
 
 def test_grad_reused_input_accumulates():
@@ -317,11 +368,42 @@ def test_backward_requires_scalar_and_tape():
 
 def test_backward_consumes_tape():
     x = Tensor(np.array([1.0]), requires_grad=True)
-    with Tape():
+    with Tape() as tape:
         loss = mse(x, Tensor(np.zeros(1)))
         backward(loss)
+        assert tape.nodes == []  # the graph is released once walked
         with pytest.raises(GraphError):
             backward(loss)
+
+
+def test_tapes_are_per_thread():
+    # more threads than cores and a tiny switch interval, so the threads
+    # interleave inside their Tape contexts
+    x = Tensor(np.ones(3), requires_grad=True)
+    errors = []
+
+    def work():
+        try:
+            for _ in range(200):
+                with Tape() as tape:
+                    y = scale(x, 2.0)
+                    if y.tape is not tape or len(tape.nodes) != 1:
+                        errors.append("op recorded on another thread's tape")
+        except Exception as e:  # collected for the main thread's assert
+            errors.append(repr(e))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 def test_unreachable_parameter_keeps_zero_grad():

@@ -220,6 +220,36 @@ def test_eval_missing_checkpoint(dataset, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("MM-ERR:")
 
 
+def test_eval_rejects_non_utf8_checkpoint_echo(trained_mm, dataset,
+                                               tmp_path, capsys):
+    blob = bytearray(open(os.path.join(trained_mm, "averaged.ckpt"),
+                          "rb").read())
+    blob[12] = 0xFF  # first byte of the config echo
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(blob))
+    rc = main(["eval", "--checkpoint", str(bad), "--data", dataset,
+               "--out", str(tmp_path / "x")])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("MM-ERR:")
+    assert "UTF-8" in err[0]
+
+
+def test_manifest_rejects_paths_without_image_suffix(dataset, tmp_path,
+                                                    capsys):
+    # a mask path in the image column would otherwise serve as its own mask
+    text = open(dataset).read().replace(".image.mmt", ".mask.mmt", 1)
+    manifest = os.path.join(os.path.dirname(dataset), "mask_as_image.txt")
+    with open(manifest, "w") as f:
+        f.write(text)
+    rc = main(["train", "--variant", "Sup1", "--data", manifest,
+               "--out", str(tmp_path / "run")] + FAST)
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("MM-ERR:")
+    assert ".image.mmt" in err[0]
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 
@@ -254,6 +284,20 @@ def test_sweep_alpha_echoes_tokens(dataset, tmp_path):
     assert [r["alpha"] for r in rows] == ["0", "0.0100"]  # tokens verbatim
     assert all(0.0 <= float(r["mean_iou"]) <= 1.0 for r in rows)
     assert os.path.exists(out / "alpha_0.0100" / "seed_0" / "averaged.ckpt")
+
+
+def test_sweep_alpha_workers_match_serial(tmp_path):
+    data = tmp_path / "blobs"
+    assert main(["gen-data", "--kind", "blobs", "--cases", "4", "--slices",
+                 "2", "--size", "8", "--seed", "1", "--out", str(data)]) == 0
+    argv = ["sweep-alpha", "--data", str(data / "manifest.txt"), "--values",
+            "0,0.01", "--seeds", "0,1", "--set", "model.channels=2",
+            "--set", "train.epochs=1", "--set", "train.save_last_k=1",
+            "--set", "data.labelled_slices=2"]
+    assert main(argv + ["--workers", "1", "--out", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--workers", "2", "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "alpha_sweep.csv").read_bytes() == \
+        (tmp_path / "b" / "alpha_sweep.csv").read_bytes()
 
 
 def test_sweep_alpha_validates_tokens(dataset, tmp_path, capsys):

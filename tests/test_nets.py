@@ -186,6 +186,23 @@ def test_model_outputs_are_input_sized_probability_maps():
             assert np.all(p.data > 0) and np.all(p.data < 1)
 
 
+def test_joint_batch_forward_matches_separate_forwards():
+    # every norm is per sample, so stacking a labelled and an unlabelled
+    # image changes nothing but the GEMM summation order; float64 keeps
+    # that rounding far below the bound (float32 reaches ~3e-6)
+    rng = np.random.default_rng(53)
+    model = init_params("MM", channels=4, seed=2, dtype=np.float64)
+    xa = rng.standard_normal((1, 1, 16, 16))
+    xb = rng.standard_normal((1, 1, 16, 16))
+    with Tape():
+        joint = model_forward(model, Tensor(np.concatenate([xa, xb])))
+    for head, pj in enumerate(joint):
+        for half, x in enumerate((xa, xb)):
+            alone = model_forward(model, Tensor(x))[head].data
+            diff = np.max(np.abs(pj.data[half:half + 1] - alone))
+            assert diff < 1e-12, (head, half, diff)
+
+
 def test_mismatch_forward_averages_heads():
     rng = np.random.default_rng(52)
     model = init_params("MM", channels=2, seed=1, dtype=np.float64)

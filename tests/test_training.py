@@ -404,6 +404,14 @@ def test_checkpoint_format_errors(tmp_path):
     with pytest.raises(FormatError, match="at byte 0"):
         load_checkpoint(bad)
 
+    # the first array name starts after magic, echo and the two u32 counts
+    name_at = 8 + 4 + blob[8] + 4 + 4
+    garbled = tmp_path / "garbled.ckpt"
+    garbled.write_bytes(blob[:name_at] + b"\xff" + blob[name_at + 1:])
+    with pytest.raises(FormatError,
+                       match=rf"array name .*\(at byte {name_at}\)"):
+        load_checkpoint(garbled)
+
 
 def test_load_model_checks_echo_and_layout(tmp_path):
     model = init_params("Sup1", channels=2, seed=0)
