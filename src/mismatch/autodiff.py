@@ -293,17 +293,6 @@ def maxpool2(x: Tensor) -> Tensor:
     return record_op("maxpool2", (x,), out, bw)
 
 
-def _interp_indices(n: int, dtype):
-    # align-corners-false: source coord of output i is (i + 0.5)/2 - 0.5,
-    # clamped; for scale 2 the fractions are exactly 0.25 / 0.75.
-    src = (np.arange(2 * n, dtype=np.float64) + 0.5) / 2.0 - 0.5
-    i0 = np.floor(src).astype(np.int64)
-    f = (src - i0).astype(dtype)
-    lo = np.clip(i0, 0, n - 1)
-    hi = np.clip(i0 + 1, 0, n - 1)
-    return lo, hi, f
-
-
 def upsample_bilinear2(x: Tensor) -> Tensor:
     """x2 bilinear upsampling, align-corners-false.
 
@@ -312,22 +301,32 @@ def upsample_bilinear2(x: Tensor) -> Tensor:
     """
     if x.data.ndim != 4:
         raise DimensionError("upsample_bilinear2 expects NCHW input")
-    n, c, h, w = x.shape
-    xd = x.data
-    r0, r1, fy = _interp_indices(h, xd.dtype)
-    c0, c1, fx = _interp_indices(w, xd.dtype)
-    wy0 = (1.0 - fy)[None, None, :, None]
-    wy1 = fy[None, None, :, None]
-    wx0 = (1.0 - fx)[None, None, None, :]
-    wx1 = fx[None, None, None, :]
-
-    rows = wy0 * xd[:, :, r0, :] + wy1 * xd[:, :, r1, :]
-    out = wx0 * rows[:, :, :, c0] + wx1 * rows[:, :, :, c1]
+    out = _upsample_axis(_upsample_axis(x.data, -2), -1)
 
     def bw(g):
         return (_upsample_adjoint(_upsample_adjoint(g, 3), 2),)
 
     return record_op("upsample_bilinear2", (x,), out, bw)
+
+
+def _upsample_axis(x: np.ndarray, axis: int) -> np.ndarray:
+    """x2 linear upsampling, align-corners-false, along axis -2 or -1.
+
+    Output 2i is 0.25*x[i-1] + 0.75*x[i] and output 2i+1 is
+    0.75*x[i] + 0.25*x[i+1], with out-of-range neighbours clamped to the
+    edge: each parity is one strided store.
+    """
+    def at(s):
+        return (Ellipsis, s) + (slice(None),) * (-1 - axis)
+
+    prev = np.concatenate([x[at(slice(None, 1))], x[at(slice(None, -1))]], axis)
+    nxt = np.concatenate([x[at(slice(1, None))], x[at(slice(-1, None))]], axis)
+    shape = list(x.shape)
+    shape[axis] *= 2
+    out = np.empty(shape, dtype=x.dtype)
+    out[at(slice(0, None, 2))] = 0.25 * prev + 0.75 * x
+    out[at(slice(1, None, 2))] = 0.75 * x + 0.25 * nxt
+    return out
 
 
 def _upsample_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
@@ -396,14 +395,52 @@ def same_padding(kernel: int, dilation: int = 1) -> int:
 _COLS_BYTES = 8 << 20
 
 
+def _im2col(xd: np.ndarray, k: int, d: int, p: int) -> np.ndarray:
+    """Flat-shift im2col of NCHW `xd` for a k x k kernel at dilation d and
+    padding p, as a (c*k*k, n*ho*wp) column matrix with wp = w + 2p.
+
+    Each sample is zero-padded into a (hp, wp) plane with one spare bottom
+    row, and flattened. Output pixel (i, j) then reads tap (ki, kj) at flat
+    offset i*wp + j + ki*d*wp + kj*d, so every tap is one contiguous slice
+    of length L = ho*wp. Outputs are computed on the ho x wp grid; its last
+    wp - wo columns wrap into the next row and `_conv_apply` drops them.
+    The spare row keeps the last tap's slice in bounds. One GEMM over the
+    columns covers the whole batch.
+    """
+    n, c, h, w = xd.shape
+    hp, wp = h + 2 * p + 1, w + 2 * p
+    L = (h + 2 * p - d * (k - 1)) * wp
+    xp = np.zeros((c, n, hp, wp), dtype=xd.dtype)
+    xp[:, :, p:p + h, p:p + w] = xd.transpose(1, 0, 2, 3)
+    xp = xp.reshape(c, n, hp * wp)
+    cols = np.empty((c, k * k, n, L), dtype=xd.dtype)
+    for t in range(k * k):
+        off = (t // k) * d * wp + (t % k) * d
+        cols[:, t] = xp[:, :, off:off + L]
+    return cols.reshape(c * k * k, n * L)
+
+
+def _conv_apply(w2: np.ndarray, bias: np.ndarray | None, cols: np.ndarray,
+                ho: int, wo: int, wp: int) -> np.ndarray:
+    """(o, c*k*k) weights times `_im2col` columns, plus an optional bias,
+    with the wrap columns dropped: the NCHW (n, o, ho, wo) result."""
+    out2 = w2 @ cols
+    if bias is not None:
+        out2 += bias[:, None]
+    out2 = out2.reshape(w2.shape[0], -1, ho, wp)[:, :, :, :wo]
+    return np.ascontiguousarray(out2.transpose(1, 0, 2, 3))
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int,
            dilation: int = 1) -> Tensor:
     """Stride-1 dilated 2D convolution, NCHW x OIHW -> NOHW.
 
     The effective kernel extent is dilation*(K-1)+1; same-size output
-    needs padding = dilation*(K-1)/2 for odd K. Internally an im2col/
-    matmul formulation; the quadruple-loop definition is kept in the test
-    suite as the oracle.
+    needs padding = dilation*(K-1)/2 for odd K. Internally a flat-shift
+    im2col/matmul formulation (`_im2col`, `_conv_apply`). The input
+    gradient is the same kernel run on the output gradient with the
+    flipped, channel-transposed weights; the quadruple-loop definition is
+    kept in the test suite as the oracle.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError("conv2d expects NCHW input and OIHW weights")
@@ -430,46 +467,23 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int,
         raise DimensionError(f"conv2d: effective kernel {eff} exceeds padded "
                              f"input {h + 2 * p}x{wd + 2 * p}")
 
-    # Flat-shift im2col. Each sample is zero-padded into a (hp, wp) plane
-    # with one spare bottom row, and flattened. Output pixel (i, j) then
-    # reads tap (ki, kj) at flat offset i*wp + j + ki*d*wp + kj*d, so every
-    # tap is one contiguous slice of length L = ho*wp. Outputs are computed
-    # on the ho x wp grid; its last wp - wo columns wrap into the next row
-    # and are discarded. The spare row keeps the last tap's slice in bounds.
-    # Columns are laid out (c*k*k, samples*L): one GEMM covers the batch.
-    hp, wp = h + 2 * p + 1, wd + 2 * p
-    L = ho * wp
-    offsets = [ki * d * wp + kj * d for ki in range(k) for kj in range(k)]
+    wp = wd + 2 * p
     w2 = w.data.reshape(o, c * k * k)
-
-    def im2col(xd):
-        m = xd.shape[0]
-        xp = np.zeros((c, m, hp, wp), dtype=xd.dtype)
-        xp[:, :, p:p + h, p:p + wd] = xd.transpose(1, 0, 2, 3)
-        xp = xp.reshape(c, m, hp * wp)
-        cols = np.empty((c, k * k, m, L), dtype=xd.dtype)
-        for t, off in enumerate(offsets):
-            cols[:, t] = xp[:, :, off:off + L]
-        return cols.reshape(c * k * k, m * L)
-
-    def apply(cols):
-        out2 = w2 @ cols
-        out2 += b.data[:, None]
-        out2 = out2.reshape(o, -1, ho, wp)[:, :, :, :wo]
-        return np.ascontiguousarray(out2.transpose(1, 0, 2, 3))
 
     # Value-only calls (evaluation at the batch size of a whole case) run
     # in groups of samples whose column buffer stays near _COLS_BYTES, so
     # it stays cache-sized and the process's peak memory stays low.
-    per_sample = c * k * k * L * x.data.itemsize
+    per_sample = c * k * k * ho * wp * x.data.itemsize
     if (n * per_sample > _COLS_BYTES
             and not _records(active_tape(), (x, w, b))):
         step = max(1, _COLS_BYTES // per_sample)
-        return Tensor(np.concatenate([apply(im2col(x.data[s:s + step]))
-                                      for s in range(0, n, step)]))
+        return Tensor(np.concatenate([
+            _conv_apply(w2, b.data, _im2col(x.data[s:s + step], k, d, p),
+                        ho, wo, wp)
+            for s in range(0, n, step)]))
 
-    cols = im2col(x.data)
-    out = apply(cols)
+    cols = _im2col(x.data, k, d, p)
+    out = _conv_apply(w2, b.data, cols, ho, wo, wp)
     needs_gx = x.requires_grad
 
     def bw(g):
@@ -477,16 +491,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int,
         # the wrap columns get zero gradient, so they add nothing below
         g2 = np.zeros((o, n, ho, wp), dtype=g.dtype)
         g2[:, :, :, :wo] = g.transpose(1, 0, 2, 3)
-        g2 = g2.reshape(o, n * L)
+        g2 = g2.reshape(o, n * ho * wp)
         # cols @ g2.T runs ~2x faster in BLAS than g2 @ cols.T at o << c*k*k
         gw = (cols @ g2.T).T.reshape(o, c, k, k)
         if not needs_gx:
             return (None, gw, gb)
-        gcols = (w2.T @ g2).reshape(c, k * k, n, L)
-        gxp = np.zeros((c, n, hp * wp), dtype=g.dtype)
-        for t, off in enumerate(offsets):
-            gxp[:, :, off:off + L] += gcols[:, t]
-        gx = gxp.reshape(c, n, hp, wp)[:, :, p:p + h, p:p + wd]
-        return (gx.transpose(1, 0, 2, 3), gw, gb)
+        # gx is g convolved with the flipped kernel, channels transposed, at
+        # padding q = eff-1-p. A negative q (padding beyond the kernel's
+        # reach) runs at padding 0 and crops -q from each border.
+        q = eff - 1 - p
+        qc, crop = max(q, 0), max(-q, 0)
+        wt2 = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        gx = _conv_apply(wt2, None, _im2col(g, k, d, qc),
+                         h + 2 * crop, wd + 2 * crop, wo + 2 * qc)
+        if crop:
+            gx = gx[:, :, crop:crop + h, crop:crop + wd]
+        return (gx, gw, gb)
 
     return record_op("conv2d", (x, w, b), out, bw)

@@ -166,10 +166,11 @@ def run_training(variant: str, cfg: dict[str, str], manifest, out_dir):
     if unlabelled is None and spec.semi_supervised:
         raise ConfigError(f"variant {variant} needs an unlabelled_train split")
 
+    # an unusable out_dir fails here, not after the whole training run
+    os.makedirs(out_dir, exist_ok=True)
     model = init_params(variant, tc.channels, tc.in_channels, seed=tc.seed)
     final, averaged, history = train(tc, model, labelled, unlabelled)
 
-    os.makedirs(out_dir, exist_ok=True)
     comments = echo_lines(cfg)
     write_history_csv(os.path.join(out_dir, "history.csv"), history, comments)
     save_checkpoint(os.path.join(out_dir, "final.ckpt"), final, cfg)
@@ -252,11 +253,11 @@ def cmd_eval(args) -> int:
     from .training import load_model
     model, echo = load_model(args.checkpoint)
     caseset = _load_normalized(args.data)
+    os.makedirs(args.out, exist_ok=True)
     rows, mean_iou, std_iou, pooled_ece = evaluate_split(
         model, caseset, args.split, args.bins)
 
     comments = tuple(f"{k}={echo[k]}" for k in sorted(echo))
-    os.makedirs(args.out, exist_ok=True)
     per_image = os.path.join(args.out, "per_image.csv")
     with open(per_image, "w", newline="") as f:
         for line in comments:
@@ -461,7 +462,7 @@ def main(argv=None) -> int:
     except (ConfigError, FormatError, DimensionError, MisMatchError) as e:
         print(f"MM-ERR: {e}", file=sys.stderr)
         return 3
-    except FileNotFoundError as e:
+    except OSError as e:  # unreadable inputs, unusable --out paths
         print(f"MM-ERR: {e}", file=sys.stderr)
         return 3
 

@@ -34,6 +34,23 @@ def naive_conv2d(x, w, b, padding, dilation):
     return out
 
 
+def col2im_conv2d_input_grad(g, w, x_shape, padding, dilation):
+    """Input gradient of stride-1 dilated convolution in col2im form: each
+    kernel tap's column gradient w[:, :, ki, kj].T @ g is added back onto
+    the tap's shifted window of the padded input, then the padding is
+    cropped off."""
+    n, c, h, wd = x_shape
+    _, _, k, _ = w.shape
+    d, p = dilation, padding
+    ho, wo = g.shape[2:]
+    gxp = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=g.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            gxp[:, :, ki * d:ki * d + ho, kj * d:kj * d + wo] += np.einsum(
+                "oc,noij->ncij", w[:, :, ki, kj], g)
+    return gxp[:, :, p:p + h, p:p + wd]
+
+
 def naive_maxpool2(x):
     n, c, h, w = x.shape
     out = np.zeros((n, c, h // 2, w // 2), dtype=x.dtype)

@@ -10,8 +10,9 @@ from mismatch.autodiff import (Tape, Tensor, add, backward, concat_channels,
                                stop_gradient, take_batch, upsample_bilinear2)
 from mismatch.errors import DimensionError, GraphError, ParameterError
 from gradcheck import check_grads
-from oracles import (naive_conv2d, naive_maxpool2, naive_upsample_bilinear2,
-                     rel_err, scatter_upsample_bilinear2_backward)
+from oracles import (col2im_conv2d_input_grad, naive_conv2d, naive_maxpool2,
+                     naive_upsample_bilinear2, rel_err,
+                     scatter_upsample_bilinear2_backward)
 
 
 def leaf(rng, *shape):
@@ -45,6 +46,32 @@ def test_conv2d_value_only_batch_groups_match_whole_batch():
         whole = conv2d(x, w, b, padding=1).data
     assert len(tape.nodes) == 1
     assert rel_err(grouped, whole) < 1e-12
+
+
+# Every conv2d call of an MM step at width 8 on 32x32 inputs, as
+# (c, o, side, kernel, padding, dilation): the encoder, the 48->16 and
+# 24->8 decoder entries, the dilation-5 sides and the 1x1 head.
+MM_STEP_CONVS = [
+    (1, 8, 32, 3, 1, 1), (8, 16, 16, 3, 1, 1), (16, 16, 16, 3, 1, 1),
+    (16, 32, 8, 3, 1, 1), (32, 32, 8, 3, 1, 1), (48, 16, 16, 3, 1, 1),
+    (24, 8, 32, 3, 1, 1), (8, 8, 32, 3, 1, 1), (8, 8, 32, 3, 5, 5),
+    (16, 16, 16, 3, 5, 5), (8, 1, 32, 1, 0, 1),
+]
+
+
+def test_conv2d_input_grad_matches_col2im_oracle():
+    rng = np.random.default_rng(31)
+    for c, o, side, k, p, d in MM_STEP_CONVS:
+        x = Tensor(rng.standard_normal((2, c, side, side)), requires_grad=True)
+        w = Tensor(rng.standard_normal((o, c, k, k)), requires_grad=True)
+        b = Tensor(rng.standard_normal(o), requires_grad=True)
+        with Tape() as tape:
+            out = conv2d(x, w, b, p, dilation=d)
+        g = rng.standard_normal(out.shape)
+        gx, _, _ = tape.nodes[-1].backward_fn(g)
+        want = col2im_conv2d_input_grad(g, w.data, x.shape, p, d)
+        assert gx.shape == x.shape
+        assert rel_err(gx, want) < 1e-12
 
 
 def test_conv2d_identity_kernel_is_identity():
@@ -119,12 +146,13 @@ def test_maxpool2_odd_size_rejected():
 
 def test_upsample_matches_naive_oracle_bitwise():
     rng = np.random.default_rng(15)
-    for dtype in (np.float64, np.float32):
-        x = Tensor(rng.standard_normal((2, 3, 5, 7)).astype(dtype))
-        got = upsample_bilinear2(x).data
-        want = naive_upsample_bilinear2(x.data)
-        assert got.dtype == dtype
-        np.testing.assert_array_equal(got, want)
+    for shape in [(2, 3, 5, 7), (1, 1, 1, 1), (1, 2, 1, 5), (2, 1, 4, 1)]:
+        for dtype in (np.float64, np.float32):
+            x = Tensor(rng.standard_normal(shape).astype(dtype))
+            got = upsample_bilinear2(x).data
+            want = naive_upsample_bilinear2(x.data)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
 
 
 def test_upsample_backward_matches_scatter_oracle():
@@ -229,6 +257,11 @@ def test_dtype_follows_operands():
     x32 = Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32))
     w32 = Tensor(rng.standard_normal((2, 2, 3, 3)).astype(np.float32))
     assert conv2d(x32, w32, Tensor(np.zeros(2, np.float32)), 1).dtype == np.float32
+    x32g = Tensor(x32.data, requires_grad=True)
+    with Tape() as tape:
+        out = conv2d(x32g, w32, Tensor(np.zeros(2, np.float32)), 1)
+    gx, gw, gb = tape.nodes[-1].backward_fn(np.ones_like(out.data))
+    assert gx.dtype == gw.dtype == gb.dtype == np.float32
     assert relu(x32).dtype == np.float32
     assert Tensor(np.arange(4)).dtype == np.float64  # ints coerce to f64
 
@@ -268,11 +301,13 @@ def test_grad_sigmoid():
 
 def test_grad_conv2d_plain_and_dilated():
     rng = np.random.default_rng(24)
-    for d, p in [(1, 1), (5, 5), (1, 0)]:
+    # the last three pad to or beyond the kernel's reach (padding >= d*(k-1))
+    for k, d, p in [(3, 1, 1), (3, 5, 5), (3, 1, 0), (1, 1, 1), (3, 1, 3),
+                    (3, 2, 4)]:
         x = leaf(rng, 2, 2, 8, 8)
-        w = leaf(rng, 3, 2, 3, 3)
+        w = leaf(rng, 3, 2, k, k)
         b = leaf(rng, 3)
-        side = 8 + 2 * p - 2 * d
+        side = 8 + 2 * p - d * (k - 1)
         r = Tensor(rng.standard_normal((2, 3, side, side)))
         err = check_grads(lambda: mse(conv2d(x, w, b, p, dilation=d), r),
                           [x, w, b])

@@ -235,6 +235,28 @@ def test_eval_rejects_non_utf8_checkpoint_echo(trained_mm, dataset,
     assert "UTF-8" in err[0]
 
 
+def test_out_naming_a_file_fails_before_any_work(trained_mm, dataset,
+                                                 tmp_path, monkeypatch,
+                                                 capsys):
+    import mismatch.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the --out check")
+
+    for name in ("train", "evaluate_split", "_case_probs"):
+        monkeypatch.setattr(cli, name, never)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    ckpt = os.path.join(trained_mm, "averaged.ckpt")
+    for argv in (["train", "--variant", "MM", "--data", dataset] + FAST,
+                 ["eval", "--checkpoint", ckpt, "--data", dataset],
+                 ["calibrate", "--checkpoint", ckpt, "--data", dataset]):
+        assert main(argv + ["--out", str(taken)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("MM-ERR:")
+    assert not list(tmp_path.rglob("history.csv"))
+
+
 def test_manifest_rejects_paths_without_image_suffix(dataset, tmp_path,
                                                     capsys):
     # a mask path in the image column would otherwise serve as its own mask
