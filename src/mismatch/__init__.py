@@ -11,10 +11,10 @@ from .autodiff import (Tape, Tensor, add, backward, concat_channels, conv2d,
 from .errors import (ConfigError, ContractError, DimensionError, FormatError,
                      GraphError, MisMatchError, NumericalAbort,
                      ParameterError)
-from .nets import (DECODER_LAYOUTS, BlockParams, DecoderParams, ModelParams,
-                   clone_params, decoder_forward, encoder_forward,
-                   init_params, mismatch_forward, model_forward,
-                   morph_perturb, named_params, nasb, pasb, standard_block)
+from .nets import (VARIANTS, Model, Variant, clone_params, decoder_forward,
+                   encoder_forward, init_params, mismatch_forward,
+                   model_forward, morph_perturb, named_params, nasb,
+                   param_layout, pasb, standard_block)
 from .training import (AdamState, TrainConfig, adam_step, alpha_at,
                        average_checkpoints, consistency_loss, dice_loss,
                        load_checkpoint, load_model, reference_config,

@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +23,8 @@ from .errors import (ConfigError, DimensionError, FormatError, MisMatchError,
                      NumericalAbort, ParameterError)
 from .metrics import (MetricsRow, binarize, ece, emit_metrics_csv,
                       emit_reliability_csv, fmt_float, iou, reliability_bins)
-from .nets import DECODER_LAYOUTS, average_prediction, init_params, model_forward
+from . import nets
+from .nets import average_prediction, init_params, model_forward
 from .training import (TrainConfig, save_checkpoint, train, write_history_csv)
 
 DEFAULT_CONFIG: dict[str, str] = {
@@ -43,26 +42,6 @@ DEFAULT_CONFIG: dict[str, str] = {
     "loss.consistency_mode": "symmetric",
     "data.labelled_slices": "4",
     "data.augment_noise": "0.2",
-}
-
-
-@dataclass(frozen=True)
-class VariantSpec:
-    """Training-time traits of an experiment arm."""
-    name: str
-    semi_supervised: bool
-    augment_flip: bool
-    augment_noise: bool
-
-
-VARIANTS: dict[str, VariantSpec] = {
-    "MM": VariantSpec("MM", True, False, False),
-    "MM-a": VariantSpec("MM-a", True, False, False),
-    "MM-b": VariantSpec("MM-b", True, False, False),
-    "MM-c": VariantSpec("MM-c", True, False, False),
-    "Sup1": VariantSpec("Sup1", False, True, True),
-    "Sup2": VariantSpec("Sup2", False, True, True),
-    "Morph": VariantSpec("Morph", True, False, True),
 }
 
 
@@ -140,10 +119,7 @@ def _load_normalized(manifest) -> CaseSet:
 
 def run_training(variant: str, cfg: dict[str, str], manifest, out_dir):
     """Train one arm and write final.ckpt, averaged.ckpt and history.csv."""
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; expected one of "
-                          f"{sorted(VARIANTS)}")
-    spec = VARIANTS[variant]
+    spec = nets.variant_spec(variant)
     cfg = dict(cfg)
     if not spec.semi_supervised:
         cfg["loss.alpha_max"] = "0"  # supervised arms carry no consistency
@@ -338,32 +314,31 @@ def cmd_sweep_alpha(args) -> int:
             raise ParameterError(f"bad alpha value {t!r}") from None
         if v < 0:
             raise ParameterError(f"alpha must be >= 0, got {t}")
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        raise ParameterError(f"--seeds expects comma-separated integers, "
+                             f"got {args.seeds!r}") from None
     if not seeds:
         raise ParameterError("--seeds needs at least one seed")
     base_cfg = merge_config(args.config, args.set)
     if args.labelled_slices is not None:
         base_cfg["data.labelled_slices"] = str(args.labelled_slices)
 
-    def run_arm(arm):
-        token, seed = arm
-        cfg = dict(base_cfg)
-        cfg["loss.alpha_max"] = token
-        cfg["train.seed"] = str(seed)
-        out_dir = os.path.join(args.out, f"alpha_{token}", f"seed_{seed}")
-        paths = run_training(args.variant, cfg, args.data, out_dir)
-        from .training import load_model
-        model, _ = load_model(paths["averaged"])
-        caseset = _load_normalized(args.data)
-        _, mean_iou, _, _ = evaluate_split(model, caseset, "test", args.bins)
-        return mean_iou
-
-    arms = [(t, s) for t in tokens for s in seeds]
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = dict(zip(arms, pool.map(run_arm, arms)))
-    else:
-        results = {arm: run_arm(arm) for arm in arms}
+    from .training import load_model
+    results = {}
+    for token in tokens:
+        for seed in seeds:
+            cfg = dict(base_cfg)
+            cfg["loss.alpha_max"] = token
+            cfg["train.seed"] = str(seed)
+            out_dir = os.path.join(args.out, f"alpha_{token}", f"seed_{seed}")
+            paths = run_training(args.variant, cfg, args.data, out_dir)
+            model, _ = load_model(paths["averaged"])
+            caseset = _load_normalized(args.data)
+            _, mean_iou, _, _ = evaluate_split(model, caseset, "test",
+                                               args.bins)
+            results[(token, seed)] = mean_iou
 
     summary_path = os.path.join(args.out, "alpha_sweep.csv")
     os.makedirs(args.out, exist_ok=True)
@@ -405,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train one variant on a manifest")
-    t.add_argument("--variant", choices=sorted(VARIANTS), required=True)
+    t.add_argument("--variant", choices=sorted(nets.VARIANTS),
+                   required=True)
     t.add_argument("--data", required=True, help="manifest path")
     t.add_argument("--labelled-slices", type=int, default=None)
     t.add_argument("--seed", type=int, default=None)
@@ -436,13 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
                        "weights")
     s.add_argument("--values", default="0,0.0005,0.001,0.002,0.004")
     s.add_argument("--seeds", default="0")
-    s.add_argument("--variant", choices=sorted(VARIANTS), default="MM")
+    s.add_argument("--variant", choices=sorted(nets.VARIANTS), default="MM")
     s.add_argument("--data", required=True)
     s.add_argument("--labelled-slices", type=int, default=None)
     s.add_argument("--bins", type=int, default=10)
     s.add_argument("--config", default=None)
     s.add_argument("--set", action="append", metavar="KEY=VALUE")
-    s.add_argument("--workers", type=int, default=1)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sweep_alpha)
     return p

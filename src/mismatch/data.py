@@ -255,10 +255,14 @@ def make_streams(caseset: CaseSet, labelled_slices: int, seed: int,
     slices drawn deterministically (without replacement) from the
     labelled_train cases; masks of unlabelled_train cases are never read.
     Returns (labelled_stream, unlabelled_stream); the unlabelled stream is
-    None when the split is absent or empty.
+    None when the split is absent or empty. A batch_size larger than
+    either pool is rejected: such a batch could only repeat slices.
     """
     if labelled_slices < 1:
         raise ConfigError("labelled_slices must be >= 1")
+    if batch_size > labelled_slices:
+        raise ConfigError(f"batch_size {batch_size} exceeds the labelled "
+                          f"pool of {labelled_slices} slices")
     pool: list[tuple[np.ndarray, np.ndarray]] = []
     for case in caseset.cases_in("labelled_train"):
         for s in filter_foreground(case, 0):
@@ -278,6 +282,9 @@ def make_streams(caseset: CaseSet, labelled_slices: int, seed: int,
         items = [(case.image[s], None)
                  for case in caseset.cases_in("unlabelled_train")
                  for s in range(case.image.shape[0])]
+        if batch_size > len(items):
+            raise ConfigError(f"batch_size {batch_size} exceeds the "
+                              f"unlabelled pool of {len(items)} slices")
         unlabelled = SliceStream(items, batch_size,
                                  np.random.default_rng(np.random.SeedSequence([seed, 2])),
                                  augment=unlabelled_augment, dtype=dtype)

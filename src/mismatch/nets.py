@@ -1,5 +1,6 @@
 """Network pieces: shared encoder, attention-shifting decoder blocks,
-morphological feature perturbation, and parameter initialisation.
+morphological feature perturbation, the variant table, and the parameter
+layout.
 
 The segmentation net is a U-shaped encoder/decoder. MisMatch pairs one
 decoder built from positive attention shifting blocks (PASB, dilated side
@@ -10,8 +11,7 @@ between the two heads is the training signal on unlabelled data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,78 +22,63 @@ from .errors import ConfigError, ContractError, DimensionError, ParameterError
 
 PASB_SIDE_DILATION = 5
 
-# Decoder layouts per experiment variant. MM is the full method; MM-a/b/c
-# ablate the attention decoders pairwise; Sup1 is a plain single-decoder
-# U-net; Sup2 is the MM topology trained supervised-only; Morph swaps the
-# learned attention for fixed grey-scale dilation/erosion on features.
-DECODER_LAYOUTS: dict[str, tuple[str, ...]] = {
-    "MM": ("pasb", "nasb"),
-    "MM-a": ("standard", "standard"),
-    "MM-b": ("standard", "nasb"),
-    "MM-c": ("standard", "pasb"),
-    "Sup1": ("standard",),
-    "Sup2": ("pasb", "nasb"),
-    "Morph": ("morph_dilate", "morph_erode"),
+
+@dataclass(frozen=True)
+class Variant:
+    """An experiment arm: one decoder kind per head (standard | pasb |
+    nasb | morph_dilate | morph_erode) and how the arm is trained."""
+    decoders: tuple[str, ...]
+    semi_supervised: bool
+    augment_flip: bool
+    augment_noise: bool
+
+
+# MM is the full method; MM-a/b/c ablate the attention decoders pairwise;
+# Sup1 is a plain single-decoder U-net; Sup2 is the MM topology trained
+# supervised-only; Morph swaps the learned attention for fixed grey-scale
+# dilation/erosion on features.
+VARIANTS: dict[str, Variant] = {
+    "MM": Variant(("pasb", "nasb"), True, False, False),
+    "MM-a": Variant(("standard", "standard"), True, False, False),
+    "MM-b": Variant(("standard", "nasb"), True, False, False),
+    "MM-c": Variant(("standard", "pasb"), True, False, False),
+    "Sup1": Variant(("standard",), False, True, True),
+    "Sup2": Variant(("pasb", "nasb"), False, True, True),
+    "Morph": Variant(("morph_dilate", "morph_erode"), True, False, True),
 }
 
-BLOCK_KINDS = ("standard", "pasb", "nasb")
+
+def variant_spec(name: str) -> Variant:
+    if name not in VARIANTS:
+        raise ConfigError(f"unknown variant {name!r}; expected one of "
+                          f"{sorted(VARIANTS)}")
+    return VARIANTS[name]
 
 
 @dataclass
-class ConvPair:
-    w: Tensor
-    b: Tensor
-
-
-@dataclass
-class NormPair:
-    gamma: Tensor
-    beta: Tensor
-
-
-@dataclass
-class BlockParams:
-    """Two main conv stages plus, for attention kinds, two side stages.
-
-    Side convolutions preserve the working channel width; the side branch
-    reads the first main stage's output, so NASB's per-layer identity
-    skips type-check and PASB sees the same projection.
-    """
-    block_kind: str
-    main_conv1: ConvPair
-    main_norm1: NormPair
-    main_conv2: ConvPair
-    main_norm2: NormPair
-    side_conv1: Optional[ConvPair] = None
-    side_norm1: Optional[NormPair] = None
-    side_conv2: Optional[ConvPair] = None
-    side_norm2: Optional[NormPair] = None
-    side_dilation: int = 1
-
-
-@dataclass
-class DecoderParams:
-    kind: str                    # standard | pasb | nasb | morph_dilate | morph_erode
-    blocks: list[BlockParams] = field(default_factory=list)
-    head: ConvPair = None
-
-
-@dataclass
-class ModelParams:
-    encoder: list[BlockParams]
-    decoders: list[DecoderParams]
-    in_channels: int
-    base_width: int
+class Model:
+    """One decoder kind per head plus every parameter by name, in the
+    checkpoint order `param_layout` defines."""
+    decoders: tuple[str, ...]
+    params: dict[str, Tensor]
 
 
 # ---------------------------------------------------------------------------
 # forward passes
 
-def _stage(x, conv: ConvPair, norm: NormPair, dilation: int = 1):
+def _stage(x, params, name: str, dilation: int = 1):
     # conv -> relu -> norm, the unit every block is assembled from
-    pad = same_padding(conv.w.shape[2], dilation)
-    h = conv2d(x, conv.w, conv.b, padding=pad, dilation=dilation)
-    return instance_norm(relu(h), norm.gamma, norm.beta)
+    w = params[f"{name}.w"]
+    pad = same_padding(w.shape[2], dilation)
+    h = conv2d(x, w, params[f"{name}.b"], padding=pad, dilation=dilation)
+    return instance_norm(relu(h), params[f"{name}.gamma"],
+                         params[f"{name}.beta"])
+
+
+def _check_side_branch(params, prefix: str, who: str, wanted: bool):
+    if (f"{prefix}.side1.w" in params) != wanted:
+        raise ContractError(f"{who} got {prefix!r}, which "
+                            f"{'lacks' if wanted else 'has'} a side branch")
 
 
 def morph_perturb(x: Tensor, mode: str) -> Tensor:
@@ -124,16 +109,16 @@ def morph_perturb(x: Tensor, mode: str) -> Tensor:
     return record_op(f"morph_{mode}", (x,), out, bw)
 
 
-def standard_block(x: Tensor, p: BlockParams, morph_mode: str | None = None,
+def standard_block(x: Tensor, params, prefix: str,
+                   morph_mode: str | None = None,
                    capture: dict | None = None) -> Tensor:
     """Two conv/relu/norm stages. With morph_mode set, each stage output is
     morphologically perturbed (two morph_perturb calls per block)."""
-    if p.block_kind != "standard":
-        raise ContractError(f"standard_block got a {p.block_kind!r} block")
-    h = _stage(x, p.main_conv1, p.main_norm1)
+    _check_side_branch(params, prefix, "standard_block", wanted=False)
+    h = _stage(x, params, f"{prefix}.main1")
     if morph_mode is not None:
         h = morph_perturb(h, morph_mode)
-    out = _stage(h, p.main_conv2, p.main_norm2)
+    out = _stage(h, params, f"{prefix}.main2")
     if morph_mode is not None:
         out = morph_perturb(out, morph_mode)
     if capture is not None:
@@ -141,26 +126,27 @@ def standard_block(x: Tensor, p: BlockParams, morph_mode: str | None = None,
     return out
 
 
-def pasb(x: Tensor, p: BlockParams, capture: dict | None = None) -> Tensor:
+def pasb(x: Tensor, params, prefix: str,
+         capture: dict | None = None) -> Tensor:
     """Positive attention shifting block: out = m + m*a.
 
     The side branch runs two dilated conv stages (rate 5, effective extent
     11) over the first main stage's output and squashes to an attention
     map a in (0,1); attention above 0.5 inflates the main features.
     """
-    if p.block_kind != "pasb":
-        raise ContractError(f"pasb got a {p.block_kind!r} block")
-    h = _stage(x, p.main_conv1, p.main_norm1)
-    m = _stage(h, p.main_conv2, p.main_norm2)
-    s = _stage(h, p.side_conv1, p.side_norm1, dilation=p.side_dilation)
-    s = _stage(s, p.side_conv2, p.side_norm2, dilation=p.side_dilation)
+    _check_side_branch(params, prefix, "pasb", wanted=True)
+    h = _stage(x, params, f"{prefix}.main1")
+    m = _stage(h, params, f"{prefix}.main2")
+    s = _stage(h, params, f"{prefix}.side1", dilation=PASB_SIDE_DILATION)
+    s = _stage(s, params, f"{prefix}.side2", dilation=PASB_SIDE_DILATION)
     a = sigmoid(s)
     if capture is not None:
         capture["m"], capture["a"] = m, a
     return add(m, mul(m, a))
 
 
-def nasb(x: Tensor, p: BlockParams, capture: dict | None = None) -> Tensor:
+def nasb(x: Tensor, params, prefix: str,
+         capture: dict | None = None) -> Tensor:
     """Negative attention shifting block: out = m + m*a with a residual
     side branch.
 
@@ -168,19 +154,18 @@ def nasb(x: Tensor, p: BlockParams, capture: dict | None = None) -> Tensor:
     s = h2 + stage(h2), a = sigmoid(s). With zero side weights the skips
     pass h straight through, so a = sigmoid(h).
     """
-    if p.block_kind != "nasb":
-        raise ContractError(f"nasb got a {p.block_kind!r} block")
-    h = _stage(x, p.main_conv1, p.main_norm1)
-    m = _stage(h, p.main_conv2, p.main_norm2)
-    h2 = add(h, _stage(h, p.side_conv1, p.side_norm1))
-    s = add(h2, _stage(h2, p.side_conv2, p.side_norm2))
+    _check_side_branch(params, prefix, "nasb", wanted=True)
+    h = _stage(x, params, f"{prefix}.main1")
+    m = _stage(h, params, f"{prefix}.main2")
+    h2 = add(h, _stage(h, params, f"{prefix}.side1"))
+    s = add(h2, _stage(h2, params, f"{prefix}.side2"))
     a = sigmoid(s)
     if capture is not None:
         capture["m"], capture["a"] = m, a
     return add(m, mul(m, a))
 
 
-def encoder_forward(image: Tensor, blocks: list[BlockParams]):
+def encoder_forward(image: Tensor, params):
     """Three standard blocks with 2x2 max pooling between them.
 
     Returns (bottleneck, [skip1, skip2]) where skips keep the two upper
@@ -192,42 +177,45 @@ def encoder_forward(image: Tensor, blocks: list[BlockParams]):
     if h % 4 or w % 4:
         raise DimensionError(f"encoder needs spatial dims divisible by 4, "
                              f"got {h}x{w}")
-    s1 = standard_block(image, blocks[0])
-    s2 = standard_block(maxpool2(s1), blocks[1])
-    bottleneck = standard_block(maxpool2(s2), blocks[2])
+    s1 = standard_block(image, params, "enc0")
+    s2 = standard_block(maxpool2(s1), params, "enc1")
+    bottleneck = standard_block(maxpool2(s2), params, "enc2")
     return bottleneck, [s1, s2]
 
 
 _MORPH_MODES = {"morph_dilate": "dilate", "morph_erode": "erode"}
 
 
-def _block_forward(x, p: BlockParams, decoder_kind: str):
+def _block_forward(x, params, prefix: str, decoder_kind: str):
     if decoder_kind in ("standard", "morph_dilate", "morph_erode"):
-        return standard_block(x, p, morph_mode=_MORPH_MODES.get(decoder_kind))
+        return standard_block(x, params, prefix,
+                              morph_mode=_MORPH_MODES.get(decoder_kind))
     if decoder_kind == "pasb":
-        return pasb(x, p)
+        return pasb(x, params, prefix)
     if decoder_kind == "nasb":
-        return nasb(x, p)
+        return nasb(x, params, prefix)
     raise ContractError(f"unknown decoder kind {decoder_kind!r}")
 
 
-def decoder_forward(bottleneck: Tensor, skips: list[Tensor],
-                    dec: DecoderParams) -> Tensor:
+def decoder_forward(bottleneck: Tensor, skips: list[Tensor], params,
+                    prefix: str, kind: str) -> Tensor:
     """Upsample/concat/block twice, one more block, then a 1x1 conv head
     with sigmoid. Output is a probability map in (0,1), input-sized."""
     h = concat_channels(upsample_bilinear2(bottleneck), skips[1])
-    h = _block_forward(h, dec.blocks[0], dec.kind)
+    h = _block_forward(h, params, f"{prefix}.block0", kind)
     h = concat_channels(upsample_bilinear2(h), skips[0])
-    h = _block_forward(h, dec.blocks[1], dec.kind)
-    h = _block_forward(h, dec.blocks[2], dec.kind)
-    logits = conv2d(h, dec.head.w, dec.head.b, padding=0, dilation=1)
+    h = _block_forward(h, params, f"{prefix}.block1", kind)
+    h = _block_forward(h, params, f"{prefix}.block2", kind)
+    logits = conv2d(h, params[f"{prefix}.head.w"], params[f"{prefix}.head.b"],
+                    padding=0, dilation=1)
     return sigmoid(logits)
 
 
-def model_forward(params: ModelParams, image: Tensor) -> list[Tensor]:
+def model_forward(model: Model, image: Tensor) -> list[Tensor]:
     """Run the shared encoder once and every decoder on its outputs."""
-    bottleneck, skips = encoder_forward(image, params.encoder)
-    return [decoder_forward(bottleneck, skips, d) for d in params.decoders]
+    bottleneck, skips = encoder_forward(image, model.params)
+    return [decoder_forward(bottleneck, skips, model.params, f"dec{j}", kind)
+            for j, kind in enumerate(model.decoders)]
 
 
 def average_prediction(probs: list[Tensor]) -> Tensor:
@@ -238,176 +226,100 @@ def average_prediction(probs: list[Tensor]) -> Tensor:
     return scale(add(probs[0], probs[1]), 0.5)
 
 
-def mismatch_forward(image: Tensor, params: ModelParams):
+def mismatch_forward(image: Tensor, model: Model):
     """Forward pass of a two-headed model: (p1, p2, averaged prediction)."""
-    if len(params.decoders) != 2:
+    if len(model.decoders) != 2:
         raise ContractError("mismatch_forward needs a two-decoder model")
-    probs = model_forward(params, image)
+    probs = model_forward(model, image)
     return probs[0], probs[1], average_prediction(probs)
 
 
 # ---------------------------------------------------------------------------
-# initialisation
+# parameter layout and initialisation
 
-def _init_conv(rng, c_out: int, c_in: int, k: int, dtype) -> ConvPair:
-    # Kaiming fan-in scaling for relu stages; biases start at zero
-    fan_in = c_in * k * k
-    std = np.sqrt(2.0 / fan_in)
-    w = (rng.standard_normal((c_out, c_in, k, k)) * std).astype(dtype)
-    return ConvPair(Tensor(w, requires_grad=True),
-                    Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True))
+def param_layout(kinds: tuple[str, ...], channels: int, in_channels: int):
+    """Yield every parameter as (name, shape, init) in checkpoint order.
 
-
-def _init_norm(c: int, dtype) -> NormPair:
-    return NormPair(Tensor(np.ones(c, dtype=dtype), requires_grad=True),
-                    Tensor(np.zeros(c, dtype=dtype), requires_grad=True))
-
-
-def _init_block(rng, kind: str, c_in: int, c_work: int, dtype,
-                side_dilation: int = 1) -> BlockParams:
-    if kind not in BLOCK_KINDS:
-        raise ContractError(f"unknown block kind {kind!r}")
-    p = BlockParams(
-        block_kind=kind,
-        main_conv1=_init_conv(rng, c_work, c_in, 3, dtype),
-        main_norm1=_init_norm(c_work, dtype),
-        main_conv2=_init_conv(rng, c_work, c_work, 3, dtype),
-        main_norm2=_init_norm(c_work, dtype),
-        side_dilation=side_dilation,
-    )
-    if kind in ("pasb", "nasb"):
-        p.side_conv1 = _init_conv(rng, c_work, c_work, 3, dtype)
-        p.side_norm1 = _init_norm(c_work, dtype)
-        p.side_conv2 = _init_conv(rng, c_work, c_work, 3, dtype)
-        p.side_norm2 = _init_norm(c_work, dtype)
-    return p
-
-
-def init_encoder_params(channels: int, in_channels: int, seed,
-                        dtype=np.float32) -> list[BlockParams]:
-    """Three standard blocks at widths [C, 2C, 4C]."""
-    rng = np.random.default_rng(seed)
+    init is "he" (Kaiming normal, fan-in scaled for relu stages), "zeros"
+    or "ones". Encoder blocks run at widths [C, 2C, 4C]; decoder blocks at
+    6C->2C, 3C->C and C->C, then a 1x1 head. Attention blocks add two side
+    stages that keep the working width: the side branch reads the first
+    main stage's output, so NASB's per-stage identity skips type-check
+    and PASB sees the same projection.
+    """
     c = channels
-    return [
-        _init_block(rng, "standard", in_channels, c, dtype),
-        _init_block(rng, "standard", c, 2 * c, dtype),
-        _init_block(rng, "standard", 2 * c, 4 * c, dtype),
-    ]
+
+    def block(prefix, c_in, c_out, side):
+        stages = [("main1", c_in), ("main2", c_out)]
+        if side:
+            stages += [("side1", c_out), ("side2", c_out)]
+        for stage, fan_in in stages:
+            yield f"{prefix}.{stage}.w", (c_out, fan_in, 3, 3), "he"
+            yield f"{prefix}.{stage}.b", (c_out,), "zeros"
+            yield f"{prefix}.{stage}.gamma", (c_out,), "ones"
+            yield f"{prefix}.{stage}.beta", (c_out,), "zeros"
+
+    for i, (c_in, c_out) in enumerate([(in_channels, c), (c, 2 * c),
+                                       (2 * c, 4 * c)]):
+        yield from block(f"enc{i}", c_in, c_out, side=False)
+    for j, kind in enumerate(kinds):
+        for i, (c_in, c_out) in enumerate([(6 * c, 2 * c), (3 * c, c),
+                                           (c, c)]):
+            yield from block(f"dec{j}.block{i}", c_in, c_out,
+                             side=kind in ("pasb", "nasb"))
+        yield f"dec{j}.head.w", (1, c, 1, 1), "he"
+        yield f"dec{j}.head.b", (1,), "zeros"
 
 
-def init_decoder_params(kind: str, channels: int, seed,
-                        dtype=np.float32) -> DecoderParams:
-    """Decoder blocks at (6C->2C, 3C->C, C->C) plus the 1x1 head."""
-    if kind not in DECODER_LAYOUTS["MM"] + ("standard", "morph_dilate",
-                                            "morph_erode"):
-        raise ConfigError(f"unknown decoder kind {kind!r}")
-    rng = np.random.default_rng(seed)
-    c = channels
-    block_kind = kind if kind in ("pasb", "nasb") else "standard"
-    dil = PASB_SIDE_DILATION if kind == "pasb" else 1
-    blocks = [
-        _init_block(rng, block_kind, 6 * c, 2 * c, dtype, side_dilation=dil),
-        _init_block(rng, block_kind, 3 * c, c, dtype, side_dilation=dil),
-        _init_block(rng, block_kind, c, c, dtype, side_dilation=dil),
-    ]
-    head = _init_conv(rng, 1, c, 1, dtype)
-    return DecoderParams(kind=kind, blocks=blocks, head=head)
+def _draw(layout, rng, dtype) -> dict[str, Tensor]:
+    """Initial values for layout entries; "he" weights draw from rng in
+    layout order, biases and norm affines are constant."""
+    params = {}
+    for name, shape, init in layout:
+        if init == "he":
+            std = np.sqrt(2.0 / (shape[1] * shape[2] * shape[3]))
+            data = (rng.standard_normal(shape) * std).astype(dtype)
+        else:
+            data = (np.ones if init == "ones" else np.zeros)(shape, dtype)
+        params[name] = Tensor(data, requires_grad=True)
+    return params
 
 
 def init_params(variant: str, channels: int, in_channels: int = 1,
-                seed: int = 0, dtype=np.float32) -> ModelParams:
+                seed: int = 0, dtype=np.float32) -> Model:
     """Build a full model for an experiment variant.
 
     Encoder and each decoder draw from independent child seeds, so two
     decoders of the same kind still start at different weights.
     """
-    if variant not in DECODER_LAYOUTS:
-        raise ConfigError(f"unknown variant {variant!r}; expected one of "
-                          f"{sorted(DECODER_LAYOUTS)}")
+    kinds = variant_spec(variant).decoders
     if channels < 1:
         raise ParameterError("channels must be >= 1")
-    kinds = DECODER_LAYOUTS[variant]
-    children = np.random.SeedSequence(seed).spawn(1 + len(kinds))
-    encoder = init_encoder_params(channels, in_channels, children[0], dtype)
-    decoders = [init_decoder_params(kind, channels, child, dtype)
-                for kind, child in zip(kinds, children[1:])]
-    return ModelParams(encoder=encoder, decoders=decoders,
-                       in_channels=in_channels, base_width=channels)
+    layout = list(param_layout(kinds, channels, in_channels))
+    # name prefixes of the encoder and each decoder, one generator each
+    parts = ["enc"] + [f"dec{j}." for j in range(len(kinds))]
+    children = np.random.SeedSequence(seed).spawn(len(parts))
+    params = {}
+    for part, child in zip(parts, children):
+        params.update(_draw([e for e in layout if e[0].startswith(part)],
+                            np.random.default_rng(child), dtype))
+    return Model(kinds, params)
 
 
 # ---------------------------------------------------------------------------
 # parameter traversal
 
-def _block_items(prefix: str, p: BlockParams):
-    yield f"{prefix}.main1.w", p.main_conv1.w
-    yield f"{prefix}.main1.b", p.main_conv1.b
-    yield f"{prefix}.main1.gamma", p.main_norm1.gamma
-    yield f"{prefix}.main1.beta", p.main_norm1.beta
-    yield f"{prefix}.main2.w", p.main_conv2.w
-    yield f"{prefix}.main2.b", p.main_conv2.b
-    yield f"{prefix}.main2.gamma", p.main_norm2.gamma
-    yield f"{prefix}.main2.beta", p.main_norm2.beta
-    if p.side_conv1 is not None:
-        yield f"{prefix}.side1.w", p.side_conv1.w
-        yield f"{prefix}.side1.b", p.side_conv1.b
-        yield f"{prefix}.side1.gamma", p.side_norm1.gamma
-        yield f"{prefix}.side1.beta", p.side_norm1.beta
-        yield f"{prefix}.side2.w", p.side_conv2.w
-        yield f"{prefix}.side2.b", p.side_conv2.b
-        yield f"{prefix}.side2.gamma", p.side_norm2.gamma
-        yield f"{prefix}.side2.beta", p.side_norm2.beta
-
-
-def named_params(model: ModelParams) -> list[tuple[str, Tensor]]:
+def named_params(model: Model) -> list[tuple[str, Tensor]]:
     """Stable (name, tensor) listing; the order defines checkpoint layout."""
-    items: list[tuple[str, Tensor]] = []
-    for i, blk in enumerate(model.encoder):
-        items.extend(_block_items(f"enc{i}", blk))
-    for j, dec in enumerate(model.decoders):
-        for i, blk in enumerate(dec.blocks):
-            items.extend(_block_items(f"dec{j}.block{i}", blk))
-        items.append((f"dec{j}.head.w", dec.head.w))
-        items.append((f"dec{j}.head.b", dec.head.b))
-    return items
+    return list(model.params.items())
 
 
-def decoder_param_names(model: ModelParams, index: int) -> list[str]:
-    return [n for n, _ in named_params(model) if n.startswith(f"dec{index}.")]
+def decoder_param_names(model: Model, index: int) -> list[str]:
+    return [n for n in model.params if n.startswith(f"dec{index}.")]
 
 
-def _clone_conv(cp: ConvPair) -> ConvPair:
-    return ConvPair(Tensor(cp.w.data.copy(), requires_grad=True),
-                    Tensor(cp.b.data.copy(), requires_grad=True))
-
-
-def _clone_norm(npair: NormPair) -> NormPair:
-    return NormPair(Tensor(npair.gamma.data.copy(), requires_grad=True),
-                    Tensor(npair.beta.data.copy(), requires_grad=True))
-
-
-def _clone_block(p: BlockParams) -> BlockParams:
-    q = BlockParams(
-        block_kind=p.block_kind,
-        main_conv1=_clone_conv(p.main_conv1), main_norm1=_clone_norm(p.main_norm1),
-        main_conv2=_clone_conv(p.main_conv2), main_norm2=_clone_norm(p.main_norm2),
-        side_dilation=p.side_dilation,
-    )
-    if p.side_conv1 is not None:
-        q.side_conv1 = _clone_conv(p.side_conv1)
-        q.side_norm1 = _clone_norm(p.side_norm1)
-        q.side_conv2 = _clone_conv(p.side_conv2)
-        q.side_norm2 = _clone_norm(p.side_norm2)
-    return q
-
-
-def clone_params(model: ModelParams) -> ModelParams:
+def clone_params(model: Model) -> Model:
     """Deep copy; snapshots stay frozen while training keeps mutating."""
-    return ModelParams(
-        encoder=[_clone_block(b) for b in model.encoder],
-        decoders=[DecoderParams(kind=d.kind,
-                                blocks=[_clone_block(b) for b in d.blocks],
-                                head=_clone_conv(d.head))
-                  for d in model.decoders],
-        in_channels=model.in_channels,
-        base_width=model.base_width,
-    )
+    return Model(model.decoders,
+                 {name: Tensor(t.data.copy(), requires_grad=True)
+                  for name, t in model.params.items()})

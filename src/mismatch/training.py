@@ -18,8 +18,8 @@ from .autodiff import (Tape, Tensor, add, as_tensor, backward, mse, record_op,
                        scale, stop_gradient, take_batch)
 from .errors import (ConfigError, ContractError, DimensionError, FormatError,
                      NumericalAbort)
-from .nets import (ModelParams, clone_params, decoder_param_names,
-                   init_params, model_forward, named_params)
+from .nets import (Model, clone_params, decoder_param_names, model_forward,
+                   named_params, param_layout, variant_spec)
 
 CONSISTENCY_MODES = ("symmetric", "first_to_second", "second_to_first")
 ALPHA_SCHEDULES = ("warmup", "constant")
@@ -179,21 +179,18 @@ def zero_grads(named: list[tuple[str, Tensor]]) -> None:
 # ---------------------------------------------------------------------------
 # snapshot averaging
 
-def average_checkpoints(snapshots: list[ModelParams]) -> ModelParams:
+def average_checkpoints(snapshots: list[Model]) -> Model:
     """Elementwise mean of parameter snapshots (the last-k epoch average)."""
     if not snapshots:
         raise ContractError("average_checkpoints needs at least one snapshot")
-    out = clone_params(snapshots[0])
-    per_snap = [dict(named_params(s)) for s in snapshots]
-    for name, tensor in named_params(out):
-        stack = []
-        for d in per_snap:
-            arr = d[name].data
-            if arr.shape != tensor.data.shape:
-                raise DimensionError(f"snapshot shape mismatch for {name}")
-            stack.append(arr)
-        tensor.data = np.mean(np.stack(stack), axis=0)
-    return out
+    params = {}
+    for name, tensor in named_params(snapshots[0]):
+        stack = [s.params[name].data for s in snapshots]
+        if any(arr.shape != tensor.data.shape for arr in stack):
+            raise DimensionError(f"snapshot shape mismatch for {name}")
+        params[name] = Tensor(np.mean(np.stack(stack), axis=0),
+                              requires_grad=True)
+    return Model(snapshots[0].decoders, params)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +207,7 @@ class HistoryRow:
     total: float
 
 
-def train(config: TrainConfig, model: ModelParams, labelled_stream,
+def train(config: TrainConfig, model: Model, labelled_stream,
           unlabelled_stream=None, stop_gradient_audit: bool = False):
     """Streaming training.
 
@@ -243,7 +240,7 @@ def train(config: TrainConfig, model: ModelParams, labelled_stream,
     total_steps = steps_per_epoch * config.epochs
     named = named_params(model)
     state = AdamState.for_params(named)
-    snapshots: deque[ModelParams] = deque(maxlen=config.save_last_k)
+    snapshots: deque[Model] = deque(maxlen=config.save_last_k)
     history: list[HistoryRow] = []
 
     step = 0
@@ -327,7 +324,7 @@ def _audit_stop_gradient(model, named, xu, step):
 # ---------------------------------------------------------------------------
 # checkpoint container
 
-def save_checkpoint(path, model: ModelParams,
+def save_checkpoint(path, model: Model,
                     config_echo: dict[str, str] | None = None) -> None:
     """Binary container: magic, config echo, then per-array records.
 
@@ -406,26 +403,24 @@ def _utf8(buf: bytes, start: int, stop: int, what: str) -> str:
                           start + e.start) from None
 
 
-def load_model(path, dtype=np.float32) -> tuple[ModelParams, dict[str, str]]:
+def load_model(path, dtype=np.float32) -> tuple[Model, dict[str, str]]:
     """Rebuild a model from a checkpoint; the echo must carry the variant,
     channel width and input channel count under model.* keys."""
     arrays, echo = load_checkpoint(path)
     try:
-        variant = echo["model.variant"]
-        channels = int(echo["model.channels"])
-        in_channels = int(echo["model.in_channels"])
-        seed = int(echo.get("train.seed", "0"))
+        kinds = variant_spec(echo["model.variant"]).decoders
+        layout = list(param_layout(kinds, int(echo["model.channels"]),
+                                   int(echo["model.in_channels"])))
     except KeyError as k:
         raise FormatError(f"checkpoint echo is missing {k}") from None
-    model = init_params(variant, channels, in_channels, seed=seed, dtype=dtype)
-    named = dict(named_params(model))
-    if set(named) != set(arrays):
+    if {name for name, _, _ in layout} != set(arrays):
         raise FormatError("checkpoint arrays do not match the model layout")
-    for name, t in named.items():
-        if arrays[name].shape != t.data.shape:
+    params = {}
+    for name, shape, _ in layout:
+        if arrays[name].shape != shape:
             raise FormatError(f"checkpoint shape mismatch for {name}")
-        t.data = arrays[name].astype(dtype)
-    return model, echo
+        params[name] = Tensor(arrays[name].astype(dtype), requires_grad=True)
+    return Model(kinds, params), echo
 
 
 # ---------------------------------------------------------------------------

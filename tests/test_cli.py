@@ -1,9 +1,11 @@
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from mismatch.cli import main
+from mismatch.cli import main, merge_config, run_training
 from mismatch.data import load_caseset
 from mismatch.metrics import read_metrics_csv, read_reliability_csv
 from mismatch.training import load_model, read_history_csv
@@ -161,6 +163,17 @@ def test_train_numerical_abort_exit_code(dataset, tmp_path, capsys):
     assert "MM-ERR:" in capsys.readouterr().err
 
 
+def test_train_rejects_batch_larger_than_pool(dataset, tmp_path, capsys):
+    # FAST draws a 2-slice labelled pool; the unlabelled pool is 2 slices
+    rc = main(["train", "--variant", "MM", "--data", dataset,
+               "--out", str(tmp_path / "x")] + FAST
+              + ["--set", "train.batch_size=3"])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("MM-ERR:")
+    assert "batch_size 3" in err[0]
+
+
 def test_config_file_round(dataset, tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("# comment line\nmodel.channels = 2\ntrain.epochs=1\n"
@@ -308,18 +321,26 @@ def test_sweep_alpha_echoes_tokens(dataset, tmp_path):
     assert os.path.exists(out / "alpha_0.0100" / "seed_0" / "averaged.ckpt")
 
 
-def test_sweep_alpha_workers_match_serial(tmp_path):
-    data = tmp_path / "blobs"
-    assert main(["gen-data", "--kind", "blobs", "--cases", "4", "--slices",
-                 "2", "--size", "8", "--seed", "1", "--out", str(data)]) == 0
-    argv = ["sweep-alpha", "--data", str(data / "manifest.txt"), "--values",
-            "0,0.01", "--seeds", "0,1", "--set", "model.channels=2",
-            "--set", "train.epochs=1", "--set", "train.save_last_k=1",
-            "--set", "data.labelled_slices=2"]
-    assert main(argv + ["--workers", "1", "--out", str(tmp_path / "a")]) == 0
-    assert main(argv + ["--workers", "2", "--out", str(tmp_path / "b")]) == 0
-    assert (tmp_path / "a" / "alpha_sweep.csv").read_bytes() == \
-        (tmp_path / "b" / "alpha_sweep.csv").read_bytes()
+def test_run_training_in_threads_matches_serial(dataset, tmp_path):
+    # each thread records on its own tape, so concurrent arms reproduce a
+    # serial run byte for byte; a short switch interval interleaves them
+    cfg = merge_config(overrides=FAST[1::2])
+    run_training("MM", cfg, dataset, str(tmp_path / "serial"))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(run_training, "MM", cfg, dataset,
+                                   str(tmp_path / f"thread{i}"))
+                       for i in range(2)]
+            for f in futures:
+                f.result(timeout=300)
+    finally:
+        sys.setswitchinterval(old)
+    for i in range(2):
+        for name in ("history.csv", "averaged.ckpt"):
+            assert (tmp_path / f"thread{i}" / name).read_bytes() == \
+                (tmp_path / "serial" / name).read_bytes(), (i, name)
 
 
 def test_sweep_alpha_validates_tokens(dataset, tmp_path, capsys):
@@ -330,6 +351,12 @@ def test_sweep_alpha_validates_tokens(dataset, tmp_path, capsys):
     rc = main(["sweep-alpha", "--data", dataset, "--values", "-0.1",
                "--out", str(tmp_path / "s")])
     assert rc == 2
+    capsys.readouterr()
+    rc = main(["sweep-alpha", "--data", dataset, "--seeds", "a",
+               "--out", str(tmp_path / "s")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("MM-ERR:")
 
 
 # ---------------------------------------------------------------------------

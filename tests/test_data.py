@@ -164,6 +164,15 @@ def test_labelled_budget_enforced():
         make_streams(caseset, labelled_slices=0, seed=0)
 
 
+def test_batch_larger_than_either_pool_rejected():
+    caseset = _toy_caseset(n_unlab_cases=1)  # 6 labelled, 4 unlabelled
+    make_streams(caseset, labelled_slices=4, seed=0, batch_size=4)
+    with pytest.raises(ConfigError, match="labelled pool of 4"):
+        make_streams(caseset, labelled_slices=4, seed=0, batch_size=5)
+    with pytest.raises(ConfigError, match="unlabelled pool of 4"):
+        make_streams(caseset, labelled_slices=6, seed=0, batch_size=5)
+
+
 def test_unlabelled_stream_absent_when_split_empty():
     lab = gen_synthetic_case(10, "tubes", 4, 8, 0.5, case_id="lab",
                              labelled=True)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,19 +7,28 @@ import mismatch.nets as nets
 from mismatch.autodiff import Tape, Tensor, backward, mse, sigmoid
 from mismatch.errors import (ConfigError, ContractError, DimensionError,
                              ParameterError)
-from mismatch.nets import (DECODER_LAYOUTS, PASB_SIDE_DILATION, _init_block,
-                           _stage, clone_params, decoder_param_names,
-                           encoder_forward, init_decoder_params, init_params,
-                           mismatch_forward, model_forward, morph_perturb,
-                           named_params, nasb, pasb, standard_block)
+from mismatch.nets import (PASB_SIDE_DILATION, VARIANTS, _draw, _stage,
+                           clone_params, decoder_forward, decoder_param_names,
+                           encoder_forward, init_params, mismatch_forward,
+                           model_forward, morph_perturb, named_params, nasb,
+                           param_layout, pasb, standard_block)
 from gradcheck import check_grads
 from oracles import naive_morph
 
+BLK = "dec0.block2"  # the C -> C decoder block
+
+
+def _init_block(rng, kind, c, dtype):
+    """The C -> C decoder block of one `kind` decoder, drawn from rng."""
+    layout = [e for e in param_layout((kind,), c, 1)
+              if e[0].startswith(BLK + ".")]
+    return _draw(layout, rng, dtype)
+
 
 def _zero_sides(block):
-    for cp in (block.side_conv1, block.side_conv2):
-        cp.w.data[...] = 0
-        cp.b.data[...] = 0
+    for stage in ("side1", "side2"):
+        block[f"{BLK}.{stage}.w"].data[...] = 0
+        block[f"{BLK}.{stage}.b"].data[...] = 0
 
 
 def _rand_image(rng, shape, dtype=np.float64):
@@ -29,12 +40,11 @@ def _rand_image(rng, shape, dtype=np.float64):
 
 def test_pasb_zero_side_weights_give_half_attention():
     rng = np.random.default_rng(40)
-    blk = _init_block(rng, "pasb", 3, 3, np.float64,
-                      side_dilation=PASB_SIDE_DILATION)
+    blk = _init_block(rng, "pasb", 3, np.float64)
     _zero_sides(blk)
     x = _rand_image(rng, (1, 3, 12, 12))
     cap = {}
-    out = pasb(x, blk, capture=cap)
+    out = pasb(x, blk, BLK, capture=cap)
     # dead side branch -> a = sigmoid(0) = 0.5 -> out = 1.5 * m
     np.testing.assert_array_equal(cap["a"].data, np.full_like(out.data, 0.5))
     np.testing.assert_array_equal(out.data, 1.5 * cap["m"].data)
@@ -42,13 +52,13 @@ def test_pasb_zero_side_weights_give_half_attention():
 
 def test_nasb_zero_side_weights_reduce_to_sigmoid_of_features():
     rng = np.random.default_rng(41)
-    blk = _init_block(rng, "nasb", 3, 3, np.float64)
+    blk = _init_block(rng, "nasb", 3, np.float64)
     _zero_sides(blk)
     x = _rand_image(rng, (1, 3, 12, 12))
     cap = {}
-    out = nasb(x, blk, capture=cap)
+    out = nasb(x, blk, BLK, capture=cap)
     # identity skips pass h through both dead side stages: a = sigmoid(h)
-    h = _stage(x, blk.main_conv1, blk.main_norm1)
+    h = _stage(x, blk, f"{BLK}.main1")
     np.testing.assert_allclose(cap["a"].data, sigmoid(h).data,
                                rtol=0, atol=1e-15)
     np.testing.assert_array_equal(
@@ -59,43 +69,42 @@ def test_attention_maps_stay_in_unit_interval():
     rng = np.random.default_rng(42)
     x = _rand_image(rng, (1, 2, 12, 12))
     for kind in ("pasb", "nasb"):
-        blk = _init_block(rng, kind, 2, 2, np.float64,
-                          side_dilation=5 if kind == "pasb" else 1)
+        blk = _init_block(rng, kind, 2, np.float64)
         cap = {}
-        (pasb if kind == "pasb" else nasb)(x, blk, capture=cap)
+        (pasb if kind == "pasb" else nasb)(x, blk, BLK, capture=cap)
         a = cap["a"].data
         assert np.all(a > 0) and np.all(a < 1)
 
 
 def test_blocks_reject_mismatched_params():
     rng = np.random.default_rng(43)
-    std = _init_block(rng, "standard", 2, 2, np.float64)
-    att = _init_block(rng, "pasb", 2, 2, np.float64)
+    std = _init_block(rng, "standard", 2, np.float64)
+    att = _init_block(rng, "pasb", 2, np.float64)
     x = _rand_image(rng, (1, 2, 8, 8))
     with pytest.raises(ContractError):
-        pasb(x, std)
+        pasb(x, std, BLK)
     with pytest.raises(ContractError):
-        nasb(x, att)
+        nasb(x, std, BLK)
     with pytest.raises(ContractError):
-        standard_block(x, att)
+        standard_block(x, att, BLK)
 
 
 def test_grad_pasb_block():
     rng = np.random.default_rng(44)
-    blk = _init_block(rng, "pasb", 2, 2, np.float64, side_dilation=5)
+    blk = _init_block(rng, "pasb", 2, np.float64)
     x = Tensor(rng.standard_normal((1, 2, 6, 6)), requires_grad=True)
     r = Tensor(rng.standard_normal((1, 2, 6, 6)))
-    params = [x] + [t for _, t in nets._block_items("p", blk)]
-    assert check_grads(lambda: mse(pasb(x, blk), r), params) < 1e-5
+    params = [x] + list(blk.values())
+    assert check_grads(lambda: mse(pasb(x, blk, BLK), r), params) < 1e-5
 
 
 def test_grad_nasb_block():
     rng = np.random.default_rng(45)
-    blk = _init_block(rng, "nasb", 2, 2, np.float64)
+    blk = _init_block(rng, "nasb", 2, np.float64)
     x = Tensor(rng.standard_normal((1, 2, 6, 6)), requires_grad=True)
     r = Tensor(rng.standard_normal((1, 2, 6, 6)))
-    params = [x] + [t for _, t in nets._block_items("p", blk)]
-    assert check_grads(lambda: mse(nasb(x, blk), r), params) < 1e-5
+    params = [x] + list(blk.values())
+    assert check_grads(lambda: mse(nasb(x, blk, BLK), r), params) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +172,7 @@ def test_encoder_shapes_and_widths():
     model = init_params("Sup1", channels=8, seed=0, dtype=np.float64)
     rng = np.random.default_rng(50)
     bottleneck, skips = encoder_forward(_rand_image(rng, (1, 1, 32, 32)),
-                                        model.encoder)
+                                        model.params)
     assert skips[0].shape == (1, 8, 32, 32)
     assert skips[1].shape == (1, 16, 16, 16)
     assert bottleneck.shape == (1, 32, 8, 8)
@@ -172,15 +181,15 @@ def test_encoder_shapes_and_widths():
 def test_encoder_rejects_indivisible_spatial_dims():
     model = init_params("Sup1", channels=2, seed=0, dtype=np.float64)
     with pytest.raises(DimensionError):
-        encoder_forward(Tensor(np.zeros((1, 1, 30, 32))), model.encoder)
+        encoder_forward(Tensor(np.zeros((1, 1, 30, 32))), model.params)
 
 
 def test_model_outputs_are_input_sized_probability_maps():
     rng = np.random.default_rng(51)
-    for variant in DECODER_LAYOUTS:
+    for variant in VARIANTS:
         model = init_params(variant, channels=2, seed=3, dtype=np.float64)
         probs = model_forward(model, _rand_image(rng, (2, 1, 16, 16)))
-        assert len(probs) == len(DECODER_LAYOUTS[variant])
+        assert len(probs) == len(VARIANTS[variant].decoders)
         for p in probs:
             assert p.shape == (2, 1, 16, 16)
             assert np.all(p.data > 0) and np.all(p.data < 1)
@@ -213,18 +222,38 @@ def test_mismatch_forward_averages_heads():
         mismatch_forward(_rand_image(rng, (1, 1, 16, 16)), single)
 
 
-def test_variant_layouts():
-    assert DECODER_LAYOUTS["MM"] == ("pasb", "nasb")
-    assert DECODER_LAYOUTS["Sup1"] == ("standard",)
+def _side_dilations(monkeypatch, model, index):
+    """Dilation of every side-branch conv in decoder `index`'s forward."""
+    side_ws = {id(t) for n, t in model.params.items()
+               if n.startswith(f"dec{index}.") and ".side" in n}
+    seen = []
+    real = nets.conv2d
+
+    def spy(x, w, b, padding, dilation=1):
+        if id(w) in side_ws:
+            seen.append(dilation)
+        return real(x, w, b, padding=padding, dilation=dilation)
+
+    with monkeypatch.context() as m:
+        m.setattr(nets, "conv2d", spy)
+        bottleneck, skips = encoder_forward(Tensor(np.zeros((1, 1, 8, 8))),
+                                            model.params)
+        decoder_forward(bottleneck, skips, model.params, f"dec{index}",
+                        model.decoders[index])
+    return seen
+
+
+def test_variant_layouts(monkeypatch):
+    assert VARIANTS["MM"].decoders == ("pasb", "nasb")
+    assert VARIANTS["Sup1"].decoders == ("standard",)
     mm = init_params("MM", channels=2, seed=0)
-    assert [d.kind for d in mm.decoders] == ["pasb", "nasb"]
-    assert all(b.block_kind == "pasb" for b in mm.decoders[0].blocks)
-    assert mm.decoders[0].blocks[0].side_dilation == PASB_SIDE_DILATION
-    assert mm.decoders[1].blocks[0].side_dilation == 1
+    assert mm.decoders == ("pasb", "nasb")
+    assert all(f"dec0.block{i}.side1.w" in mm.params for i in range(3))
+    assert _side_dilations(monkeypatch, mm, 0) == [PASB_SIDE_DILATION] * 6
+    assert _side_dilations(monkeypatch, mm, 1) == [1] * 6
     morph = init_params("Morph", channels=2, seed=0)
-    assert [d.kind for d in morph.decoders] == ["morph_dilate", "morph_erode"]
-    assert all(b.block_kind == "standard"
-               for d in morph.decoders for b in d.blocks)
+    assert morph.decoders == ("morph_dilate", "morph_erode")
+    assert not any(".side" in n for n in morph.params)
     with pytest.raises(ConfigError):
         init_params("MM-d", channels=2)
 
@@ -246,25 +275,27 @@ def test_init_is_deterministic_per_seed():
 
 def test_same_kind_decoders_start_apart():
     model = init_params("MM-a", channels=4, seed=0)
-    w0 = model.decoders[0].blocks[0].main_conv1.w.data
-    w1 = model.decoders[1].blocks[0].main_conv1.w.data
+    w0 = model.params["dec0.block0.main1.w"].data
+    w1 = model.params["dec1.block0.main1.w"].data
     assert not np.array_equal(w0, w1)
     # but the same per-decoder seed reproduces a decoder exactly
-    d1 = init_decoder_params("standard", 4, seed=123)
-    d2 = init_decoder_params("standard", 4, seed=123)
-    np.testing.assert_array_equal(d1.blocks[0].main_conv1.w.data,
-                                  d2.blocks[0].main_conv1.w.data)
+    layout = [e for e in param_layout(("standard",), 4, 1)
+              if e[0].startswith("dec0.")]
+    d1 = _draw(layout, np.random.default_rng(123), np.float32)
+    d2 = _draw(layout, np.random.default_rng(123), np.float32)
+    np.testing.assert_array_equal(d1["dec0.block0.main1.w"].data,
+                                  d2["dec0.block0.main1.w"].data)
 
 
 def test_init_statistics():
     model = init_params("Sup1", channels=16, seed=5, dtype=np.float64)
-    blk = model.encoder[2]  # second stage is 64 -> 64, fan_in = 576
-    w = blk.main_conv2.w.data
+    p = model.params  # enc2's second stage is 64 -> 64, fan_in = 576
+    w = p["enc2.main2.w"].data
     want = np.sqrt(2.0 / (64 * 9))
     assert abs(w.std() - want) / want < 0.2
-    assert np.all(blk.main_conv2.b.data == 0)
-    assert np.all(blk.main_norm1.gamma.data == 1)
-    assert np.all(blk.main_norm1.beta.data == 0)
+    assert np.all(p["enc2.main2.b"].data == 0)
+    assert np.all(p["enc2.main1.gamma"].data == 1)
+    assert np.all(p["enc2.main1.beta"].data == 0)
 
 
 def test_named_params_counts_and_uniqueness():
@@ -285,8 +316,8 @@ def test_clone_is_deep_and_exact():
     for (_, a), (_, b) in zip(named_params(model), named_params(copy)):
         np.testing.assert_array_equal(a.data, b.data)
         assert a is not b
-    copy.encoder[0].main_conv1.w.data[...] = 99.0
-    assert not np.any(model.encoder[0].main_conv1.w.data == 99.0)
+    copy.params["enc0.main1.w"].data[...] = 99.0
+    assert not np.any(model.params["enc0.main1.w"].data == 99.0)
 
 
 def test_grad_flows_to_every_parameter():
@@ -299,3 +330,25 @@ def test_grad_flows_to_every_parameter():
         backward(mse(avg, r))
     for name, t in named_params(model):
         assert np.any(t.grad != 0), f"no gradient reached {name}"
+
+
+# sha256 of the "name:shape" lines of named_params at channels=2. Names,
+# shapes and their order are the checkpoint layout, so a checkpoint
+# written earlier loads only while these hold.
+LAYOUT_SHA256 = {
+    "MM": "c92c767686d4d1141d9ac74cf301d7382c728ca92d54b437de914843a180636f",
+    "MM-a": "5054973fd5e3d025c6e9236e88a8b18abae437568b09180feb048bc6576c95c7",
+    "MM-b": "60078bf1b94a5f1e6f421caae4cf79557df8faab21b6da5e8467e3801ae65aef",
+    "MM-c": "60078bf1b94a5f1e6f421caae4cf79557df8faab21b6da5e8467e3801ae65aef",
+    "Sup1": "a89fd152faed8c58bbe0d5c29d3e396ede383b4b2ec5fa20ad11ca2dcda67a8e",
+    "Sup2": "c92c767686d4d1141d9ac74cf301d7382c728ca92d54b437de914843a180636f",
+    "Morph": "5054973fd5e3d025c6e9236e88a8b18abae437568b09180feb048bc6576c95c7",
+}
+
+
+def test_param_layout_is_pinned():
+    for variant, want in LAYOUT_SHA256.items():
+        model = init_params(variant, channels=2)
+        lines = "".join(f"{name}:{tuple(t.shape)}\n"
+                        for name, t in named_params(model))
+        assert hashlib.sha256(lines.encode()).hexdigest() == want, variant

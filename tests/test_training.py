@@ -316,7 +316,7 @@ def test_train_stop_gradient_audit_catches_leak(monkeypatch):
 def test_train_aborts_on_non_finite_loss():
     rng = np.random.default_rng(70)
     model = init_params("Sup1", channels=2, seed=0)
-    model.encoder[0].main_conv1.w.data[...] = np.inf
+    model.params["enc0.main1.w"].data[...] = np.inf
     cfg = TrainConfig(epochs=1, channels=2)
     with np.errstate(invalid="ignore"):  # inf weights make nan activations
         with pytest.raises(NumericalAbort) as exc:
