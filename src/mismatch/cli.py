@@ -2,7 +2,8 @@
 calibration, and the consistency-weight sweep.
 
 Configuration is flat key=value text (sections model., train., loss.,
-data.); defaults < config file < --set overrides < dedicated flags. Every
+data.) whose keys, types and defaults `training.TrainConfig` declares;
+defaults < config file < --set overrides < dedicated flags. Every
 emitted CSV echoes the full configuration as # comments. Exit codes:
 0 success, 2 usage error, 3 data error, 4 numerical abort; failures print
 one machine-readable "MM-ERR:" line on stderr.
@@ -13,36 +14,25 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .autodiff import Tensor
 from .data import (AugmentConfig, CaseSet, casewise_normalize, gen_caseset,
                    load_caseset, make_streams, save_caseset)
-from .errors import (ConfigError, DimensionError, FormatError, MisMatchError,
-                     NumericalAbort, ParameterError)
+from .errors import (ConfigError, MisMatchError, NumericalAbort,
+                     ParameterError)
 from .metrics import (MetricsRow, binarize, ece, emit_metrics_csv,
                       emit_reliability_csv, fmt_float, iou, reliability_bins)
 from . import nets
 from .nets import average_prediction, init_params, model_forward
-from .training import (TrainConfig, save_checkpoint, train, write_history_csv)
+from .training import (CONFIG_FIELDS, TrainConfig, echo_value, load_model,
+                       parse_config_value, save_checkpoint, train,
+                       write_history_csv)
 
-DEFAULT_CONFIG: dict[str, str] = {
-    "model.channels": "8",
-    "model.in_channels": "1",
-    "train.lr": "0.001",
-    "train.epochs": "10",
-    "train.batch_size": "1",
-    "train.save_last_k": "10",
-    "train.seed": "0",
-    "loss.alpha_max": "0.05",
-    "loss.warmup_fraction": "0.2",
-    "loss.alpha_schedule": "warmup",
-    "loss.dice_smooth": "1.0",
-    "loss.consistency_mode": "symmetric",
-    "data.labelled_slices": "4",
-    "data.augment_noise": "0.2",
-}
+DEFAULT_CONFIG: dict[str, str] = {key: str(f.default)
+                                  for key, f in CONFIG_FIELDS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -66,16 +56,14 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def merge_config(file_path=None, overrides=()) -> dict[str, str]:
-    cfg = dict(DEFAULT_CONFIG)
-    if file_path:
-        for k, v in parse_config_file(file_path).items():
-            if k not in cfg:
-                raise ConfigError(f"unknown config key {k!r}")
-            cfg[k] = v
+    pairs = list(parse_config_file(file_path).items()) if file_path else []
     for item in overrides or ():
         key, sep, value = item.partition("=")
         if not sep:
             raise ParameterError(f"--set expects key=value, got {item!r}")
+        pairs.append((key, value))
+    cfg = dict(DEFAULT_CONFIG)
+    for key, value in pairs:
         if key not in cfg:
             raise ConfigError(f"unknown config key {key!r}")
         cfg[key] = value
@@ -83,25 +71,10 @@ def merge_config(file_path=None, overrides=()) -> dict[str, str]:
 
 
 def train_config_from(cfg: dict[str, str]) -> TrainConfig:
-    try:
-        return TrainConfig(
-            alpha_max=float(cfg["loss.alpha_max"]),
-            warmup_fraction=float(cfg["loss.warmup_fraction"]),
-            alpha_schedule=cfg["loss.alpha_schedule"],
-            lr=float(cfg["train.lr"]),
-            epochs=int(cfg["train.epochs"]),
-            batch_size=int(cfg["train.batch_size"]),
-            seed=int(cfg["train.seed"]),
-            channels=int(cfg["model.channels"]),
-            in_channels=int(cfg["model.in_channels"]),
-            save_last_k=int(cfg["train.save_last_k"]),
-            dice_smooth=float(cfg["loss.dice_smooth"]),
-            consistency_mode=cfg["loss.consistency_mode"],
-        ).validate()
-    except ValueError as e:
-        if isinstance(e, MisMatchError):
-            raise
-        raise ConfigError(f"bad config value: {e}") from None
+    """Parse and validate the TrainConfig keys of a flat config; other keys
+    (such as model.variant) are ignored."""
+    return TrainConfig(**{f.name: parse_config_value(key, cfg[key])
+                          for key, f in CONFIG_FIELDS.items()}).validate()
 
 
 def echo_lines(cfg: dict[str, str]) -> tuple[str, ...]:
@@ -120,22 +93,19 @@ def _load_normalized(manifest) -> CaseSet:
 def run_training(variant: str, cfg: dict[str, str], manifest, out_dir):
     """Train one arm and write final.ckpt, averaged.ckpt and history.csv."""
     spec = nets.variant_spec(variant)
+    tc = train_config_from(cfg)  # every key is checked, for every arm
     cfg = dict(cfg)
     if not spec.semi_supervised:
         cfg["loss.alpha_max"] = "0"  # supervised arms carry no consistency
+        tc = replace(tc, alpha_max=0.0)
     cfg["model.variant"] = variant
-    tc = train_config_from(cfg)
 
     caseset = _load_normalized(manifest)
-    augment = None
-    if spec.augment_flip or spec.augment_noise:
-        sigma = float(cfg["data.augment_noise"])
-        if sigma < 0:
-            raise ConfigError("data.augment_noise must be >= 0")
-        augment = AugmentConfig(flip=spec.augment_flip,
-                                noise_sigma=sigma if spec.augment_noise else 0.0)
+    augment = AugmentConfig(
+        flip=spec.augment_flip,
+        noise_sigma=tc.augment_noise if spec.augment_noise else 0.0)
     labelled, unlabelled = make_streams(
-        caseset, int(cfg["data.labelled_slices"]), tc.seed, tc.batch_size,
+        caseset, tc.labelled_slices, tc.seed, tc.batch_size,
         labelled_augment=augment)
     if not spec.semi_supervised:
         unlabelled = None
@@ -226,14 +196,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .training import load_model
     model, echo = load_model(args.checkpoint)
+    seed = echo_value({**DEFAULT_CONFIG, **echo}, "train.seed")
     caseset = _load_normalized(args.data)
     os.makedirs(args.out, exist_ok=True)
     rows, mean_iou, std_iou, pooled_ece = evaluate_split(
         model, caseset, args.split, args.bins)
 
-    comments = tuple(f"{k}={echo[k]}" for k in sorted(echo))
+    comments = echo_lines(echo)
     per_image = os.path.join(args.out, "per_image.csv")
     with open(per_image, "w", newline="") as f:
         for line in comments:
@@ -244,7 +214,7 @@ def cmd_eval(args) -> int:
 
     experiment = args.experiment or echo.get("experiment", "default")
     row = MetricsRow(experiment=experiment,
-                     seed=int(echo.get("train.seed", "0")),
+                     seed=seed,
                      model=echo.get("model.variant", "unknown"),
                      iou=mean_iou, ece=pooled_ece)
     emit_metrics_csv([row], os.path.join(args.out, "metrics.csv"), comments)
@@ -254,14 +224,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    from .training import load_model
     model, echo = load_model(args.checkpoint)
     caseset = _load_normalized(args.data)
     cases = caseset.cases_in(args.split)
     if not cases:
         raise ConfigError(f"split {args.split!r} is empty")
     heads = _head_names(model)
-    comments = tuple(f"{k}={echo[k]}" for k in sorted(echo))
+    comments = echo_lines(echo)
     os.makedirs(args.out, exist_ok=True)
 
     pooled: dict[str, list[np.ndarray]] = {h: [] for h in heads}
@@ -309,11 +278,10 @@ def cmd_sweep_alpha(args) -> int:
         raise ParameterError("--values needs at least one alpha")
     for t in tokens:
         try:
-            v = float(t)
-        except ValueError:
-            raise ParameterError(f"bad alpha value {t!r}") from None
-        if v < 0:
-            raise ParameterError(f"alpha must be >= 0, got {t}")
+            TrainConfig(alpha_max=parse_config_value("loss.alpha_max", t)
+                        ).validate()
+        except ConfigError as e:
+            raise ParameterError(f"bad alpha value {t!r}: {e}") from None
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
@@ -325,7 +293,7 @@ def cmd_sweep_alpha(args) -> int:
     if args.labelled_slices is not None:
         base_cfg["data.labelled_slices"] = str(args.labelled_slices)
 
-    from .training import load_model
+    caseset = _load_normalized(args.data)
     results = {}
     for token in tokens:
         for seed in seeds:
@@ -335,7 +303,6 @@ def cmd_sweep_alpha(args) -> int:
             out_dir = os.path.join(args.out, f"alpha_{token}", f"seed_{seed}")
             paths = run_training(args.variant, cfg, args.data, out_dir)
             model, _ = load_model(paths["averaged"])
-            caseset = _load_normalized(args.data)
             _, mean_iou, _, _ = evaluate_split(model, caseset, "test",
                                                args.bins)
             results[(token, seed)] = mean_iou
@@ -434,7 +401,7 @@ def main(argv=None) -> int:
     except NumericalAbort as e:
         print(f"MM-ERR: {e}", file=sys.stderr)
         return 4
-    except (ConfigError, FormatError, DimensionError, MisMatchError) as e:
+    except MisMatchError as e:
         print(f"MM-ERR: {e}", file=sys.stderr)
         return 3
     except OSError as e:  # unreadable inputs, unusable --out paths

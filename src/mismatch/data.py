@@ -317,13 +317,16 @@ def read_tensor(path) -> np.ndarray:
     if len(buf) < hdr_end:
         raise FormatError("tensor header truncated in dims", 12)
     dims = struct.unpack_from(f"<{rank}I", buf, 12)
-    numel = int(np.prod(dims)) if rank else 1
+    numel = math.prod(dims)  # exact: u32 dims overflow int64 products
     expected = hdr_end + 4 * numel
     if len(buf) != expected:
         raise FormatError(f"tensor payload is {len(buf) - hdr_end} bytes, "
                           f"expected {4 * numel}", hdr_end)
-    return np.frombuffer(buf, dtype="<f4", count=numel,
-                         offset=hdr_end).reshape(dims).copy()
+    try:
+        return np.frombuffer(buf, dtype="<f4", count=numel,
+                             offset=hdr_end).reshape(dims).copy()
+    except ValueError:  # an empty array numpy cannot shape
+        raise FormatError(f"tensor dims {dims} too large", 12) from None
 
 
 # ---------------------------------------------------------------------------

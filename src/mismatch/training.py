@@ -8,9 +8,10 @@ snapshots are kept and their elementwise mean is the evaluation model.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,40 +30,60 @@ HISTORY_COLUMNS = ("step", "epoch", "dice1", "dice2", "consistency", "alpha",
                    "total")
 
 
+def _key(section: str, default, rule: str, ok):
+    """A TrainConfig field: its flat config key is `section.name`, its type
+    is its default's, and `ok` accepts the legal values (`rule`, in words)."""
+    return field(default=default,
+                 metadata={"section": section, "rule": rule, "ok": ok})
+
+
 @dataclass
 class TrainConfig:
-    alpha_max: float = 0.002
-    warmup_fraction: float = 0.2
-    alpha_schedule: str = "warmup"
-    lr: float = 1e-3
-    epochs: int = 10
-    batch_size: int = 1
-    seed: int = 0
-    channels: int = 8
-    in_channels: int = 1
-    save_last_k: int = 10
-    dice_smooth: float = 1.0
-    consistency_mode: str = "symmetric"
+    """The run config, the only declaration of each config key, in the
+    order the command line lists them."""
+    channels: int = _key("model", 8, ">= 1", lambda v: v >= 1)
+    in_channels: int = _key("model", 1, ">= 1", lambda v: v >= 1)
+    lr: float = _key("train", 1e-3, "> 0", lambda v: v > 0)
+    epochs: int = _key("train", 10, ">= 1", lambda v: v >= 1)
+    batch_size: int = _key("train", 1, ">= 1", lambda v: v >= 1)
+    save_last_k: int = _key("train", 10, ">= 1", lambda v: v >= 1)
+    seed: int = _key("train", 0, ">= 0", lambda v: v >= 0)
+    alpha_max: float = _key("loss", 0.05, ">= 0", lambda v: v >= 0)
+    warmup_fraction: float = _key("loss", 0.2, "in [0, 1]",
+                                  lambda v: 0 <= v <= 1)
+    alpha_schedule: str = _key("loss", "warmup", f"one of {ALPHA_SCHEDULES}",
+                               lambda v: v in ALPHA_SCHEDULES)
+    dice_smooth: float = _key("loss", 1.0, "> 0", lambda v: v > 0)
+    consistency_mode: str = _key("loss", "symmetric",
+                                 f"one of {CONSISTENCY_MODES}",
+                                 lambda v: v in CONSISTENCY_MODES)
+    labelled_slices: int = _key("data", 4, ">= 1", lambda v: v >= 1)
+    augment_noise: float = _key("data", 0.2, ">= 0", lambda v: v >= 0)
 
     def validate(self) -> "TrainConfig":
-        if self.alpha_max < 0:
-            raise ConfigError("alpha_max must be >= 0")
-        if not 0.0 <= self.warmup_fraction <= 1.0:
-            raise ConfigError("warmup_fraction must be in [0, 1]")
-        if self.alpha_schedule not in ALPHA_SCHEDULES:
-            raise ConfigError(f"alpha_schedule must be one of {ALPHA_SCHEDULES}")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
-        if self.epochs < 1 or self.batch_size < 1 or self.save_last_k < 1:
-            raise ConfigError("epochs, batch_size and save_last_k must be >= 1")
-        if self.channels < 1:
-            raise ConfigError("channels must be >= 1")
-        if self.dice_smooth <= 0:
-            raise ConfigError("dice_smooth must be positive")
-        if self.consistency_mode not in CONSISTENCY_MODES:
-            raise ConfigError(f"consistency_mode must be one of "
-                              f"{CONSISTENCY_MODES}")
+        for key, f in CONFIG_FIELDS.items():
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+            if not f.metadata["ok"](value):
+                raise ConfigError(f"{key} must be {f.metadata['rule']}, "
+                                  f"got {value!r}")
         return self
+
+
+# flat config key -> its TrainConfig field, in declaration order
+CONFIG_FIELDS = {f"{f.metadata['section']}.{f.name}": f
+                 for f in fields(TrainConfig)}
+
+
+def parse_config_value(key: str, text: str):
+    """Parse one flat config value by the type of its field's default."""
+    kind = type(CONFIG_FIELDS[key].default)
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"bad config value {key}={text!r}: expected "
+                          f"{kind.__name__}") from None
 
 
 def reference_config() -> TrainConfig:
@@ -354,65 +375,72 @@ def load_checkpoint(path):
     """Read a checkpoint container; returns (arrays, config echo dict)."""
     with open(path, "rb") as f:
         buf = f.read()
+    pos = 0
 
-    def need(n, offset, what):
-        if offset + n > len(buf):
-            raise FormatError(f"checkpoint truncated reading {what}", offset)
-        return offset + n
+    def take(n: int, what: str) -> int:
+        """Step over the next n bytes; returns the offset they start at."""
+        nonlocal pos
+        if pos + n > len(buf):
+            raise FormatError(f"checkpoint truncated reading {what}", pos)
+        pos += n
+        return pos - n
 
-    pos = need(8, 0, "magic")
+    def u32(what: str) -> int:
+        return struct.unpack_from("<I", buf, take(4, what))[0]
+
+    def text(what: str) -> str:
+        start = take(u32(f"{what} length"), what)
+        try:
+            return buf[start:pos].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"checkpoint {what} is not valid UTF-8",
+                              start + e.start) from None
+
+    take(8, "magic")
     if buf[:8] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic {buf[:8]!r}", 0)
-    pos2 = need(4, pos, "echo length")
-    (echo_len,) = struct.unpack_from("<I", buf, pos)
-    pos = need(echo_len, pos2, "config echo")
-    echo_text = _utf8(buf, pos2, pos, "config echo")
     echo = {}
-    for line in echo_text.splitlines():
+    for line in text("config echo").splitlines():
         if line:
             k, _, v = line.partition("=")
             echo[k] = v
-    pos2 = need(4, pos, "array count")
-    (n_arrays,) = struct.unpack_from("<I", buf, pos)
-    pos = pos2
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(n_arrays):
-        pos2 = need(4, pos, "name length")
-        (name_len,) = struct.unpack_from("<I", buf, pos)
-        pos = need(name_len, pos2, "array name")
-        name = _utf8(buf, pos2, pos, "array name")
-        pos2 = need(4, pos, "rank")
-        (rank,) = struct.unpack_from("<I", buf, pos)
-        pos = need(4 * rank, pos2, "dims")
-        dims = struct.unpack_from(f"<{rank}I", buf, pos2)
-        numel = int(np.prod(dims)) if rank else 1
-        pos2 = need(4 * numel, pos, "payload")
-        arrays[name] = np.frombuffer(buf, dtype="<f4", count=numel,
-                                     offset=pos).reshape(dims).copy()
-        pos = pos2
+    for _ in range(u32("array count")):
+        name = text("array name")
+        rank = u32("rank")
+        dims = struct.unpack_from(f"<{rank}I", buf, take(4 * rank, "dims"))
+        numel = math.prod(dims)  # exact: u32 dims overflow int64 products
+        start = take(4 * numel, "payload")
+        try:
+            arrays[name] = np.frombuffer(buf, dtype="<f4", count=numel,
+                                         offset=start).reshape(dims).copy()
+        except ValueError:  # an empty array numpy cannot shape
+            raise FormatError(f"array {name} dims {dims} too large",
+                              start) from None
     if pos != len(buf):
         raise FormatError("trailing bytes after last array", pos)
     return arrays, echo
 
 
-def _utf8(buf: bytes, start: int, stop: int, what: str) -> str:
+def echo_value(echo: dict[str, str], key: str):
+    """One config key of a checkpoint echo, parsed as the config is."""
+    if key not in echo:
+        raise FormatError(f"checkpoint echo is missing {key!r}")
     try:
-        return buf[start:stop].decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"checkpoint {what} is not valid UTF-8",
-                          start + e.start) from None
+        return parse_config_value(key, echo[key])
+    except ConfigError as e:
+        raise FormatError(f"checkpoint echo: {e}") from None
 
 
 def load_model(path, dtype=np.float32) -> tuple[Model, dict[str, str]]:
     """Rebuild a model from a checkpoint; the echo must carry the variant,
     channel width and input channel count under model.* keys."""
     arrays, echo = load_checkpoint(path)
-    try:
-        kinds = variant_spec(echo["model.variant"]).decoders
-        layout = list(param_layout(kinds, int(echo["model.channels"]),
-                                   int(echo["model.in_channels"])))
-    except KeyError as k:
-        raise FormatError(f"checkpoint echo is missing {k}") from None
+    if "model.variant" not in echo:
+        raise FormatError("checkpoint echo is missing 'model.variant'")
+    kinds = variant_spec(echo["model.variant"]).decoders
+    layout = list(param_layout(kinds, echo_value(echo, "model.channels"),
+                               echo_value(echo, "model.in_channels")))
     if {name for name, _, _ in layout} != set(arrays):
         raise FormatError("checkpoint arrays do not match the model layout")
     params = {}
