@@ -390,9 +390,9 @@ def same_padding(kernel: int, dilation: int = 1) -> int:
     return dilation * (kernel - 1) // 2
 
 
-# Column-buffer budget of one value-only conv2d GEMM; 8 MiB measured
-# fastest for 64x64 evaluation batches among 2-32 MiB.
-_COLS_BYTES = 8 << 20
+# Column-buffer budget of one value-only conv2d GEMM; 1 MiB evaluates
+# faster than 8 MiB and keeps train-then-eval peak RSS off heap layout.
+_COLS_BYTES = 1 << 20
 
 
 def _im2col(xd: np.ndarray, k: int, d: int, p: int) -> np.ndarray:
