@@ -24,7 +24,8 @@ from .data import (AugmentConfig, CaseSet, casewise_normalize, gen_caseset,
 from .errors import (ConfigError, MisMatchError, NumericalAbort,
                      ParameterError)
 from .metrics import (MetricsRow, binarize, ece, emit_metrics_csv,
-                      emit_reliability_csv, fmt_float, iou, reliability_bins)
+                      emit_reliability_csv, fmt_float, iou, reliability_bins,
+                      write_table)
 from . import nets
 from .nets import average_prediction, init_params, model_forward
 from .training import (CONFIG_FIELDS, TrainConfig, echo_value, load_model,
@@ -204,13 +205,8 @@ def cmd_eval(args) -> int:
         model, caseset, args.split, args.bins)
 
     comments = echo_lines(echo)
-    per_image = os.path.join(args.out, "per_image.csv")
-    with open(per_image, "w", newline="") as f:
-        for line in comments:
-            f.write(f"# {line}\n")
-        f.write("image,iou,ece\n")
-        for label, iou_v, ece_v in rows:
-            f.write(f"{label},{fmt_float(iou_v)},{fmt_float(ece_v)}\n")
+    write_table(os.path.join(args.out, "per_image.csv"),
+                {"image": str, "iou": float, "ece": float}, rows, comments)
 
     experiment = args.experiment or echo.get("experiment", "default")
     row = MetricsRow(experiment=experiment,
@@ -236,7 +232,6 @@ def cmd_calibrate(args) -> int:
     pooled: dict[str, list[np.ndarray]] = {h: [] for h in heads}
     pooled_gt: list[np.ndarray] = []
     summary: list[tuple[str, str, float]] = []
-    per_image_files = []
     for case in cases:
         probs = _case_probs(model, case)
         for s in range(case.image.shape[0]):
@@ -250,7 +245,6 @@ def cmd_calibrate(args) -> int:
                 fname = f"reliability_{label}_{h}.csv"
                 emit_reliability_csv(bins, os.path.join(args.out, fname),
                                      comments)
-                per_image_files.append(fname)
                 summary.append((label, h, ece(bins)))
 
     gt_all = np.concatenate(pooled_gt)
@@ -262,12 +256,9 @@ def cmd_calibrate(args) -> int:
             comments)
         pooled_rows.append(("pooled", h, ece(bins)))
 
-    with open(os.path.join(args.out, "calibration.csv"), "w", newline="") as f:
-        for line in comments:
-            f.write(f"# {line}\n")
-        f.write("scope,head,ece\n")
-        for scope, h, e in pooled_rows + summary:
-            f.write(f"{scope},{h},{fmt_float(e)}\n")
+    write_table(os.path.join(args.out, "calibration.csv"),
+                {"scope": str, "head": str, "ece": float},
+                pooled_rows + summary, comments)
     print(os.path.join(args.out, "calibration.csv"))
     return 0
 
@@ -308,14 +299,10 @@ def cmd_sweep_alpha(args) -> int:
             results[(token, seed)] = mean_iou
 
     summary_path = os.path.join(args.out, "alpha_sweep.csv")
-    os.makedirs(args.out, exist_ok=True)
-    with open(summary_path, "w", newline="") as f:
-        for line in echo_lines(base_cfg):
-            f.write(f"# {line}\n")
-        f.write("alpha,mean_iou\n")
-        for t in tokens:   # alpha column echoes the input tokens exactly
-            mean_iou = float(np.mean([results[(t, s)] for s in seeds]))
-            f.write(f"{t},{fmt_float(mean_iou)}\n")
+    # the alpha column echoes the input tokens exactly
+    write_table(summary_path, {"alpha": str, "mean_iou": float},
+                [(t, float(np.mean([results[(t, s)] for s in seeds])))
+                 for t in tokens], echo_lines(base_cfg))
     print(summary_path)
     return 0
 

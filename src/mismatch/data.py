@@ -21,6 +21,7 @@ TENSOR_MAGIC = b"MMTENS01"
 SPLIT_NAMES = ("labelled_train", "unlabelled_train", "validation", "test")
 KINDS = ("tubes", "blobs")
 IMAGE_SUFFIX = ".image.mmt"
+MASK_SUFFIX = ".mask.mmt"
 
 
 @dataclass
@@ -111,12 +112,12 @@ def gen_synthetic_case(seed, kind: str, slices: int, size: int,
     """
     if kind not in KINDS:
         raise ParameterError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    if size % 4:
-        raise ParameterError(f"size must be divisible by 4, got {size}")
+    if size < 4 or size % 4:
+        raise ParameterError(f"size must be one of 4, 8, 12, ..., got {size}")
     if slices < 1:
         raise ParameterError("slices must be >= 1")
-    if noise_sigma < 0:
-        raise ParameterError("noise_sigma must be >= 0")
+    if not 0 <= noise_sigma < math.inf:
+        raise ParameterError("noise_sigma must be finite and >= 0")
     rng = np.random.default_rng(seed)
     draw = _tube_slice if kind == "tubes" else _blob_slice
     images = np.empty((slices, 1, size, size), dtype=np.float64)
@@ -292,60 +293,112 @@ def make_streams(caseset: CaseSet, labelled_slices: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# tensor container
+# files and binary records
+
+def write_atomic(path, payload: bytes) -> None:
+    """Write a file whole or not at all: the payload goes to a temporary
+    name in the same directory, then one rename replaces `path`. Every
+    file the package writes is written here, with a plain open()'s mode."""
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def pack(*fields) -> bytearray:
+    """Encode fields as ByteCursor reads them: bytes verbatim, an int as a
+    little-endian u32, a str as its u32 length and UTF-8 bytes, an array as
+    one record: u32 rank | u32 dims... | float32 little-endian payload."""
+    out = bytearray()
+    for f in fields:
+        if isinstance(f, str):
+            f = f.encode("utf-8")
+            out += struct.pack("<I", len(f))
+        elif isinstance(f, np.ndarray):
+            out += struct.pack(f"<{f.ndim + 1}I", f.ndim, *f.shape)
+            f = np.ascontiguousarray(f, dtype="<f4").tobytes()
+        elif isinstance(f, int):
+            f = struct.pack("<I", f)
+        out += f
+    return out
+
+
+class ByteCursor:
+    """Reads a binary file front to back from just past its magic. Every
+    short read or undecodable field is a FormatError naming the file and
+    the byte offset it was found at."""
+
+    def __init__(self, path, magic: bytes):
+        with open(path, "rb") as f:
+            self.buf = f.read()
+        if self.buf[:len(magic)] != magic:
+            raise FormatError(f"bad magic in {path}", 0)
+        self.path, self.pos = path, len(magic)
+
+    def take(self, n: int, what: str) -> int:  # returns the start offset
+        if self.pos + n > len(self.buf):
+            raise FormatError(f"{self.path} truncated reading {what}",
+                              self.pos)
+        self.pos += n
+        return self.pos - n
+
+    def u32(self, what: str) -> int:
+        return struct.unpack_from("<I", self.buf, self.take(4, what))[0]
+
+    def text(self, what: str) -> str:
+        start = self.take(self.u32(f"{what} length"), what)
+        try:
+            return self.buf[start:self.pos].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{self.path}: {what} is not valid UTF-8",
+                              start + e.start) from None
+
+    def array(self, what: str) -> np.ndarray:
+        rank = self.u32(f"{what} rank")
+        dims = struct.unpack_from(f"<{rank}I", self.buf,
+                                  self.take(4 * rank, f"{what} dims"))
+        numel = math.prod(dims)  # exact: u32 dims overflow int64 products
+        start = self.take(4 * numel, f"{what} payload")
+        try:
+            return np.frombuffer(self.buf, dtype="<f4", count=numel,
+                                 offset=start).reshape(dims).copy()
+        except ValueError:  # an empty array numpy cannot shape
+            raise FormatError(f"{self.path}: {what} dims {dims} do not fit "
+                              f"an array", start) from None
+
+    def end(self) -> None:
+        if self.pos != len(self.buf):
+            raise FormatError(f"{self.path} has trailing bytes after the last "
+                              f"array payload", self.pos)
+
 
 def write_tensor(path, arr: np.ndarray) -> None:
-    """Binary layout: magic "MMTENS01" | u32 rank | u32 dims... | float32
-    little-endian payload. File size is 8 + 4 + 4*rank + 4*numel."""
-    arr = np.asarray(arr)
-    with open(path, "wb") as f:
-        f.write(TENSOR_MAGIC)
-        f.write(struct.pack("<I", arr.ndim))
-        f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    """Binary layout: magic "MMTENS01" | one array record. File size is
+    8 + 4 + 4*rank + 4*numel."""
+    write_atomic(path, pack(TENSOR_MAGIC, np.asarray(arr)))
 
 
 def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        buf = f.read()
-    if len(buf) < 8 or buf[:8] != TENSOR_MAGIC:
-        raise FormatError(f"bad tensor magic in {path}", 0)
-    if len(buf) < 12:
-        raise FormatError("tensor header truncated before rank", 8)
-    (rank,) = struct.unpack_from("<I", buf, 8)
-    hdr_end = 12 + 4 * rank
-    if len(buf) < hdr_end:
-        raise FormatError("tensor header truncated in dims", 12)
-    dims = struct.unpack_from(f"<{rank}I", buf, 12)
-    numel = math.prod(dims)  # exact: u32 dims overflow int64 products
-    expected = hdr_end + 4 * numel
-    if len(buf) != expected:
-        raise FormatError(f"tensor payload is {len(buf) - hdr_end} bytes, "
-                          f"expected {4 * numel}", hdr_end)
-    try:
-        return np.frombuffer(buf, dtype="<f4", count=numel,
-                             offset=hdr_end).reshape(dims).copy()
-    except ValueError:  # an empty array numpy cannot shape
-        raise FormatError(f"tensor dims {dims} too large", 12) from None
+    cursor = ByteCursor(path, TENSOR_MAGIC)
+    arr = cursor.array("array")
+    cursor.end()
+    return arr
 
 
 # ---------------------------------------------------------------------------
 # case-set on disk
 
-def _image_path(case_id: str) -> str:
-    return case_id + IMAGE_SUFFIX
-
-
-def _mask_path(case_id: str) -> str:
-    return f"{case_id}.mask.mmt"
-
-
 def save_caseset(directory, caseset: CaseSet) -> str:
     """Write every case as an image/mask tensor pair plus a manifest.
 
     Manifest lines are "path labelled split", one per case, paths relative
-    to the manifest. Image paths end in ".image.mmt"; the mask path swaps
-    that suffix for ".mask.mmt". Returns the manifest path.
+    to the manifest. Image paths end in IMAGE_SUFFIX; the mask path swaps
+    that suffix for MASK_SUFFIX. Returns the manifest path.
     """
     caseset.validate()
     os.makedirs(directory, exist_ok=True)
@@ -358,15 +411,13 @@ def save_caseset(directory, caseset: CaseSet) -> str:
         split = index_to_split.get(i)
         if split is None:
             raise ConfigError(f"case {i} ({case.case_id}) is in no split")
-        write_tensor(os.path.join(directory, _image_path(case.case_id)),
-                     case.image)
-        write_tensor(os.path.join(directory, _mask_path(case.case_id)),
+        image = case.case_id + IMAGE_SUFFIX
+        write_tensor(os.path.join(directory, image), case.image)
+        write_tensor(os.path.join(directory, case.case_id + MASK_SUFFIX),
                      case.mask)
-        lines.append(f"{_image_path(case.case_id)} "
-                     f"{1 if case.labelled else 0} {split}")
+        lines.append(f"{image} {1 if case.labelled else 0} {split}")
     manifest = os.path.join(directory, "manifest.txt")
-    with open(manifest, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    write_atomic(manifest, ("\n".join(lines) + "\n").encode("utf-8"))
     return manifest
 
 
@@ -376,7 +427,8 @@ def load_caseset(manifest_path) -> CaseSet:
     base = os.path.dirname(os.path.abspath(manifest_path))
     cases: list[Case] = []
     split: dict[str, list[int]] = {}
-    with open(manifest_path) as f:
+    # bytes that are not UTF-8 read as U+FFFD: a bad field or a missing file
+    with open(manifest_path, encoding="utf-8", errors="replace") as f:
         for ln, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
@@ -396,9 +448,13 @@ def load_caseset(manifest_path) -> CaseSet:
                 raise FormatError(f"manifest line {ln}: image path {path!r} "
                                   f"must end in {IMAGE_SUFFIX}")
             case_id = path[:-len(IMAGE_SUFFIX)]
-            image = read_tensor(os.path.join(base, path))
-            mask = read_tensor(os.path.join(base, _mask_path(case_id)))
-            if image.shape[0] != mask.shape[0] or image.shape[2:] != mask.shape[2:]:
+            try:
+                image = read_tensor(os.path.join(base, path))
+                mask = read_tensor(os.path.join(base, case_id + MASK_SUFFIX))
+            except (OSError, ValueError) as e:  # unreadable, NUL in path
+                raise FormatError(f"manifest line {ln}: {e}") from None
+            if (image.ndim != 4
+                    or mask.shape != (image.shape[0], 1) + image.shape[2:]):
                 raise FormatError(f"manifest line {ln}: image {image.shape} "
                                   f"and mask {mask.shape} disagree")
             split.setdefault(split_name, []).append(len(cases))

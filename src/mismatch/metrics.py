@@ -1,4 +1,4 @@
-"""Segmentation overlap and calibration metrics, plus their CSV emitters.
+"""Segmentation overlap and calibration metrics, and the CSV table codec.
 
 ECE follows the binned recipe: pixels are bucketed by confidence, and the
 expected calibration error is the count-weighted mean absolute gap
@@ -7,15 +7,20 @@ between per-bin accuracy and per-bin mean confidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import csv
+import io
+import itertools
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from .data import write_atomic
 from .errors import DimensionError, FormatError, ParameterError
 
-METRICS_COLUMNS = ("experiment", "seed", "model", "iou", "ece")
-RELIABILITY_COLUMNS = ("bin_low", "bin_high", "count", "accuracy",
-                       "confidence")
+METRICS_COLUMNS = {"experiment": str, "seed": int, "model": str, "iou": float,
+                   "ece": float}
+RELIABILITY_COLUMNS = {"bin_low": float, "bin_high": float, "count": int,
+                       "accuracy": float, "confidence": float}
 
 
 def fmt_float(v: float) -> str:
@@ -111,38 +116,61 @@ def ece(bins: ReliabilityBins) -> float:
 
 
 # ---------------------------------------------------------------------------
-# CSV emitters
+# CSV tables
+
+def write_table(path, columns: dict[str, type], rows,
+                header_comments: tuple[str, ...] = ()) -> None:
+    """The one CSV writer: "# " comment lines, the header, then the rows,
+    float columns through fmt_float and other cells through str. A cell is
+    quoted only when it holds a comma, a quote or a line break."""
+    text = io.StringIO()
+    text.writelines(f"# {line}\n" for line in header_comments)
+    minimal = csv.writer(text, lineterminator="\n")
+    # csv quotes a bare "\r" only when it is part of the line terminator
+    quote_all = csv.writer(text, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    minimal.writerow(columns)
+    fmts = [fmt_float if kind is float else str for kind in columns.values()]
+    for row in rows:
+        cells = [fmt(v) for fmt, v in zip(fmts, row, strict=True)]
+        (quote_all if any("\r" in c for c in cells) else minimal).writerow(
+            cells)
+    write_atomic(path, text.getvalue().encode("utf-8"))
+
+
+def read_table(path, columns: dict[str, type]) -> list[list]:
+    """The one CSV reader: skips the comment lines before the header, checks
+    the header, and converts each cell by its column's type. Any mismatch is
+    a FormatError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            body = itertools.dropwhile(lambda ln: ln.startswith("#"), f)
+            rows = [row for row in csv.reader(body, strict=True) if row]
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise FormatError(f"{path}: {e}") from None
+    if not rows or rows[0] != list(columns):
+        raise FormatError(f"bad header in {path}, expected "
+                          f"{','.join(columns)}")
+    try:
+        return [[kind(cell) for kind, cell in
+                 zip(columns.values(), row, strict=True)] for row in rows[1:]]
+    except ValueError as e:  # a missing or extra field, or a bad number
+        raise FormatError(f"{path}: a row does not match the columns "
+                          f"{','.join(columns)}: {e}") from None
+
 
 def emit_reliability_csv(bins: ReliabilityBins, path,
                          header_comments: tuple[str, ...] = ()) -> None:
-    with open(path, "w", newline="") as f:
-        for line in header_comments:
-            f.write(f"# {line}\n")
-        f.write(",".join(RELIABILITY_COLUMNS) + "\n")
-        for i in range(bins.m):
-            f.write(f"{fmt_float(bins.edges[i])},{fmt_float(bins.edges[i + 1])},"
-                    f"{int(bins.counts[i])},{fmt_float(bins.accuracy[i])},"
-                    f"{fmt_float(bins.confidence[i])}\n")
+    write_table(path, RELIABILITY_COLUMNS,
+                zip(bins.edges[:-1], bins.edges[1:], bins.counts,
+                    bins.accuracy, bins.confidence), header_comments)
 
 
 def read_reliability_csv(path) -> ReliabilityBins:
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f
-                 if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != ",".join(RELIABILITY_COLUMNS):
-        raise FormatError(f"bad reliability header in {path}")
-    lows, highs, counts, accs, confs = [], [], [], [], []
-    for ln in lines[1:]:
-        lo, hi, cnt, acc, conf = ln.split(",")
-        lows.append(float(lo))
-        highs.append(float(hi))
-        counts.append(int(cnt))
-        accs.append(float(acc))
-        confs.append(float(conf))
-    edges = np.array(lows + [highs[-1]]) if lows else np.array([])
-    return ReliabilityBins(edges=edges, counts=np.array(counts),
-                           accuracy=np.array(accs),
-                           confidence=np.array(confs))
+    rows = read_table(path, RELIABILITY_COLUMNS)
+    lows, highs, counts, accs, confs = ([np.array(c) for c in zip(*rows)]
+                                        or [np.array([])] * 5)
+    return ReliabilityBins(edges=np.append(lows, highs[-1:]), counts=counts,
+                           accuracy=accs, confidence=confs)
 
 
 @dataclass
@@ -156,24 +184,8 @@ class MetricsRow:
 
 def emit_metrics_csv(rows: list[MetricsRow], path,
                      header_comments: tuple[str, ...] = ()) -> None:
-    with open(path, "w", newline="") as f:
-        for line in header_comments:
-            f.write(f"# {line}\n")
-        f.write(",".join(METRICS_COLUMNS) + "\n")
-        for r in rows:
-            f.write(f"{r.experiment},{r.seed},{r.model},{fmt_float(r.iou)},"
-                    f"{fmt_float(r.ece)}\n")
+    write_table(path, METRICS_COLUMNS, map(astuple, rows), header_comments)
 
 
 def read_metrics_csv(path) -> list[MetricsRow]:
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f
-                 if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != ",".join(METRICS_COLUMNS):
-        raise FormatError(f"bad metrics header in {path}")
-    rows = []
-    for ln in lines[1:]:
-        exp, seed, model, iou_v, ece_v = ln.split(",")
-        rows.append(MetricsRow(exp, int(seed), model, float(iou_v),
-                               float(ece_v)))
-    return rows
+    return [MetricsRow(*row) for row in read_table(path, METRICS_COLUMNS)]

@@ -11,6 +11,8 @@ between the two heads is the training signal on unlabelled data.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,6 +298,11 @@ def init_params(variant: str, channels: int, in_channels: int = 1,
     if channels < 1:
         raise ParameterError("channels must be >= 1")
     layout = list(param_layout(kinds, channels, in_channels))
+    nbytes = np.dtype(dtype).itemsize * sum(math.prod(s) for _, s, _ in layout)
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > memory:
+        raise ConfigError(f"width {channels} needs {nbytes} parameter bytes, "
+                          f"over the {memory} bytes of physical memory")
     # name prefixes of the encoder and each decoder, one generator each
     parts = ["enc"] + [f"dec{j}." for j in range(len(kinds))]
     children = np.random.SeedSequence(seed).spawn(len(parts))

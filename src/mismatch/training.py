@@ -9,16 +9,17 @@ snapshots are kept and their elementwise mean is the evaluation model.
 from __future__ import annotations
 
 import math
-import struct
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .autodiff import (Tape, Tensor, add, as_tensor, backward, mse, record_op,
                        scale, stop_gradient, take_batch)
+from .data import ByteCursor, pack, write_atomic
 from .errors import (ConfigError, ContractError, DimensionError, FormatError,
                      NumericalAbort)
+from .metrics import read_table, write_table
 from .nets import (Model, clone_params, decoder_param_names, model_forward,
                    named_params, param_layout, variant_spec)
 
@@ -26,8 +27,8 @@ CONSISTENCY_MODES = ("symmetric", "first_to_second", "second_to_first")
 ALPHA_SCHEDULES = ("warmup", "constant")
 
 CHECKPOINT_MAGIC = b"MMCKPT01"
-HISTORY_COLUMNS = ("step", "epoch", "dice1", "dice2", "consistency", "alpha",
-                   "total")
+HISTORY_COLUMNS = {"step": int, "epoch": int, "dice1": float, "dice2": float,
+                   "consistency": float, "alpha": float, "total": float}
 
 
 def _key(section: str, default, rule: str, ok):
@@ -347,78 +348,31 @@ def _audit_stop_gradient(model, named, xu, step):
 
 def save_checkpoint(path, model: Model,
                     config_echo: dict[str, str] | None = None) -> None:
-    """Binary container: magic, config echo, then per-array records.
+    """Binary container: magic, config echo, then named array records.
 
     Layout (all integers little-endian u32):
       magic "MMCKPT01" | echo_len | echo utf-8 ("key=value" lines)
-      | n_arrays | repeated (name_len | name utf-8 | rank | dims... |
-      float32 little-endian payload)
+      | n_arrays | repeated (name_len | name utf-8 | array record)
     """
     echo = "".join(f"{k}={v}\n" for k, v in (config_echo or {}).items())
-    echo_b = echo.encode("utf-8")
     named = named_params(model)
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", len(echo_b)))
-        f.write(echo_b)
-        f.write(struct.pack("<I", len(named)))
-        for name, t in named:
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", t.data.ndim))
-            f.write(struct.pack(f"<{t.data.ndim}I", *t.data.shape))
-            f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+    write_atomic(path, pack(CHECKPOINT_MAGIC, echo, len(named),
+                            *(f for name, t in named for f in (name, t.data))))
 
 
 def load_checkpoint(path):
     """Read a checkpoint container; returns (arrays, config echo dict)."""
-    with open(path, "rb") as f:
-        buf = f.read()
-    pos = 0
-
-    def take(n: int, what: str) -> int:
-        """Step over the next n bytes; returns the offset they start at."""
-        nonlocal pos
-        if pos + n > len(buf):
-            raise FormatError(f"checkpoint truncated reading {what}", pos)
-        pos += n
-        return pos - n
-
-    def u32(what: str) -> int:
-        return struct.unpack_from("<I", buf, take(4, what))[0]
-
-    def text(what: str) -> str:
-        start = take(u32(f"{what} length"), what)
-        try:
-            return buf[start:pos].decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise FormatError(f"checkpoint {what} is not valid UTF-8",
-                              start + e.start) from None
-
-    take(8, "magic")
-    if buf[:8] != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {buf[:8]!r}", 0)
+    cursor = ByteCursor(path, CHECKPOINT_MAGIC)
     echo = {}
-    for line in text("config echo").splitlines():
+    for line in cursor.text("config echo").splitlines():
         if line:
             k, _, v = line.partition("=")
             echo[k] = v
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(u32("array count")):
-        name = text("array name")
-        rank = u32("rank")
-        dims = struct.unpack_from(f"<{rank}I", buf, take(4 * rank, "dims"))
-        numel = math.prod(dims)  # exact: u32 dims overflow int64 products
-        start = take(4 * numel, "payload")
-        try:
-            arrays[name] = np.frombuffer(buf, dtype="<f4", count=numel,
-                                         offset=start).reshape(dims).copy()
-        except ValueError:  # an empty array numpy cannot shape
-            raise FormatError(f"array {name} dims {dims} too large",
-                              start) from None
-    if pos != len(buf):
-        raise FormatError("trailing bytes after last array", pos)
+    for _ in range(cursor.u32("array count")):
+        name = cursor.text("array name")
+        arrays[name] = cursor.array(name)
+    cursor.end()
     return arrays, echo
 
 
@@ -456,25 +410,8 @@ def load_model(path, dtype=np.float32) -> tuple[Model, dict[str, str]]:
 
 def write_history_csv(path, rows: list[HistoryRow],
                       header_comments: tuple[str, ...] = ()) -> None:
-    with open(path, "w", newline="") as f:
-        for line in header_comments:
-            f.write(f"# {line}\n")
-        f.write(",".join(HISTORY_COLUMNS) + "\n")
-        for r in rows:
-            f.write(f"{r.step},{r.epoch},{r.dice1:.10g},{r.dice2:.10g},"
-                    f"{r.consistency:.10g},{r.alpha:.10g},{r.total:.10g}\n")
+    write_table(path, HISTORY_COLUMNS, map(astuple, rows), header_comments)
 
 
 def read_history_csv(path) -> list[HistoryRow]:
-    rows = []
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if not ln.startswith("#")]
-    if not lines or lines[0] != ",".join(HISTORY_COLUMNS):
-        raise FormatError(f"bad history header in {path}")
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        s, e, d1, d2, c, a, t = ln.split(",")
-        rows.append(HistoryRow(int(s), int(e), float(d1), float(d2), float(c),
-                               float(a), float(t)))
-    return rows
+    return [HistoryRow(*row) for row in read_table(path, HISTORY_COLUMNS)]

@@ -55,6 +55,7 @@ def test_readme_config_block_equals_defaults():
     ("MM", "loss.alpha_max=nan"),
     ("MM", "loss.dice_smooth=nan"),
     ("MM", "train.lr=inf"),
+    ("Sup1", "model.channels=99999999999999999999999"),
 ])
 def test_train_rejects_malformed_config(dataset, tmp_path, capsys, variant,
                                         setting):
@@ -113,3 +114,21 @@ def test_readers_reject_oversized_dims(dataset, tmp_path, capsys, dims):
                "--out", str(tmp_path / "b")])
     assert rc == 3
     _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv,output", [
+    (["gen-data", "--kind", "tubes", "--size", "0"], "manifest.txt"),
+    (["gen-data", "--kind", "tubes", "--size", "-4"], "manifest.txt"),
+    (["gen-data", "--kind", "tubes", "--noise-sigma", "inf"], "manifest.txt"),
+    (["gen-data", "--kind", "tubes", "--noise-sigma", "nan"], "manifest.txt"),
+    (["calibrate", "--bins", "0"], "calibration.csv"),
+])
+def test_commands_reject_malformed_arguments(dataset, tmp_path, capsys, argv,
+                                             output):
+    if argv[0] == "calibrate":
+        argv = argv + ["--data", dataset, "--checkpoint",
+                       _checkpoint(tmp_path / "m.ckpt", SUP1_ECHO)]
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    _one_error_line(capsys)
+    assert not list(tmp_path.rglob(output))

@@ -303,6 +303,17 @@ def test_manifest_errors(tmp_path):
         load_caseset(bad3)
 
 
+@pytest.mark.parametrize("mask_shape", [(1, 0, 8, 8), (1, 2, 8, 8),
+                                        (2, 1, 8, 8), (1, 1, 8)])
+def test_manifest_rejects_mask_not_shaped_like_the_image(tmp_path,
+                                                         mask_shape):
+    write_tensor(tmp_path / "c.image.mmt", np.zeros((1, 1, 8, 8)))
+    write_tensor(tmp_path / "c.mask.mmt", np.zeros(mask_shape))
+    (tmp_path / "m.txt").write_text("c.image.mmt 1 test\n")
+    with pytest.raises(FormatError, match="disagree"):
+        load_caseset(tmp_path / "m.txt")
+
+
 def test_caseset_split_validation():
     case = gen_synthetic_case(0, "tubes", 1, 8, 0.0, case_id="c")
     with pytest.raises(ConfigError):

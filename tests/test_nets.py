@@ -287,6 +287,19 @@ def test_same_kind_decoders_start_apart():
                                   d2["dec0.block0.main1.w"].data)
 
 
+def test_init_rejects_widths_beyond_physical_memory(monkeypatch):
+    # 64 KiB of "physical memory": a width-2 Sup1 model fits, width 8
+    # (about 160 KiB of float32 parameters) does not
+    pages = {"SC_PHYS_PAGES": 16, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(nets.os, "sysconf", pages.__getitem__)
+    init_params("Sup1", channels=2)
+    with pytest.raises(ConfigError, match="physical memory"):
+        init_params("Sup1", channels=8)
+    # the parameter count is exact in Python ints: no wrap, no allocation
+    with pytest.raises(ConfigError, match="physical memory"):
+        init_params("Sup1", channels=10**23)
+
+
 def test_init_statistics():
     model = init_params("Sup1", channels=16, seed=5, dtype=np.float64)
     p = model.params  # enc2's second stage is 64 -> 64, fan_in = 576
