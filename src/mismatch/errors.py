@@ -43,7 +43,7 @@ class ConfigError(MisMatchError, ValueError):
 
 
 class NumericalAbort(MisMatchError, RuntimeError):
-    """Training hit a non-finite loss. Carries the step index."""
+    """Training hit a non-finite loss or gradient. Carries the step index."""
 
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message)

@@ -60,9 +60,10 @@ def variant_spec(name: str) -> Variant:
 @dataclass
 class Model:
     """One decoder kind per head plus every parameter by name, in the
-    checkpoint order `param_layout` defines."""
+    checkpoint order `param_layout` defines, each a view into `flat`."""
     decoders: tuple[str, ...]
     params: dict[str, Tensor]
+    flat: Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +274,30 @@ def param_layout(kinds: tuple[str, ...], channels: int, in_channels: int):
         yield f"dec{j}.head.b", (1,), "zeros"
 
 
-def _draw(layout, rng, dtype) -> dict[str, Tensor]:
-    """Initial values for layout entries; "he" weights draw from rng in
-    layout order, biases and norm affines are constant."""
-    params = {}
+def bind(kinds, shapes, data) -> Model:
+    """The one builder of parameter Tensors: views into 1-D `data` and a
+    zeroed grad of its size, one per (name, shape), end to end."""
+    flat = Tensor(data, requires_grad=True)
+    params, end = {}, 0
+    for name, shape in shapes:
+        start, end = end, end + math.prod(shape)
+        t = params[name] = Tensor(flat.data[start:end].reshape(shape))
+        t.requires_grad, t.grad = True, flat.grad[start:end].reshape(shape)
+    return Model(kinds, params, flat)
+
+
+def _draw(layout, rng, dtype) -> np.ndarray:
+    """Initial values of layout entries, end to end; "he" weights draw from
+    rng in layout order, biases and norm affines are constant."""
+    values = []
     for name, shape, init in layout:
         if init == "he":
             std = np.sqrt(2.0 / (shape[1] * shape[2] * shape[3]))
             data = (rng.standard_normal(shape) * std).astype(dtype)
         else:
             data = (np.ones if init == "ones" else np.zeros)(shape, dtype)
-        params[name] = Tensor(data, requires_grad=True)
-    return params
+        values.append(data.ravel())
+    return np.concatenate(values)
 
 
 def init_params(variant: str, channels: int, in_channels: int = 1,
@@ -303,14 +316,14 @@ def init_params(variant: str, channels: int, in_channels: int = 1,
     if nbytes > memory:
         raise ConfigError(f"width {channels} needs {nbytes} parameter bytes, "
                           f"over the {memory} bytes of physical memory")
-    # name prefixes of the encoder and each decoder, one generator each
+    # one generator per encoder/decoder name prefix, listed in layout order
     parts = ["enc"] + [f"dec{j}." for j in range(len(kinds))]
     children = np.random.SeedSequence(seed).spawn(len(parts))
-    params = {}
-    for part, child in zip(parts, children):
-        params.update(_draw([e for e in layout if e[0].startswith(part)],
-                            np.random.default_rng(child), dtype))
-    return Model(kinds, params)
+    data = np.concatenate([
+        _draw([e for e in layout if e[0].startswith(part)],
+              np.random.default_rng(child), dtype)
+        for part, child in zip(parts, children)])
+    return bind(kinds, [(name, shape) for name, shape, _ in layout], data)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +338,10 @@ def decoder_param_names(model: Model, index: int) -> list[str]:
     return [n for n in model.params if n.startswith(f"dec{index}.")]
 
 
+def param_shapes(model: Model) -> list[tuple[str, tuple[int, ...]]]:
+    return [(name, t.shape) for name, t in model.params.items()]
+
+
 def clone_params(model: Model) -> Model:
     """Deep copy; snapshots stay frozen while training keeps mutating."""
-    return Model(model.decoders,
-                 {name: Tensor(t.data.copy(), requires_grad=True)
-                  for name, t in model.params.items()})
+    return bind(model.decoders, param_shapes(model), model.flat.data.copy())

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import astuple, dataclass, field, fields
+from functools import reduce
 
 import numpy as np
 
@@ -20,8 +21,9 @@ from .data import ByteCursor, pack, write_atomic
 from .errors import (ConfigError, ContractError, DimensionError, FormatError,
                      NumericalAbort)
 from .metrics import read_table, write_table
-from .nets import (Model, clone_params, decoder_param_names, model_forward,
-                   named_params, param_layout, variant_spec)
+from .nets import (Model, bind, clone_params, decoder_param_names,
+                   model_forward, named_params, param_layout, param_shapes,
+                   variant_spec)
 
 CONSISTENCY_MODES = ("symmetric", "first_to_second", "second_to_first")
 ALPHA_SCHEDULES = ("warmup", "constant")
@@ -78,8 +80,13 @@ CONFIG_FIELDS = {f"{f.metadata['section']}.{f.name}": f
 
 
 def parse_config_value(key: str, text: str):
-    """Parse one flat config value by the type of its field's default."""
+    """Parse one flat config value by the type of its field's default.
+    A line break is refused: `int("\\n5")` is 5, but the value is echoed
+    as one line of a checkpoint and of each CSV's comment block."""
     kind = type(CONFIG_FIELDS[key].default)
+    if text.splitlines() not in ([], [text]):
+        raise ConfigError(f"bad config value {key}={text!r}: line breaks "
+                          f"are not allowed")
     try:
         return kind(text)
     except ValueError:
@@ -202,17 +209,17 @@ def zero_grads(named: list[tuple[str, Tensor]]) -> None:
 # snapshot averaging
 
 def average_checkpoints(snapshots: list[Model]) -> Model:
-    """Elementwise mean of parameter snapshots (the last-k epoch average)."""
+    """Elementwise mean of parameter snapshots (the last-k epoch average):
+    a running sum of their tensors' .data, bitwise equal to np.mean."""
     if not snapshots:
         raise ContractError("average_checkpoints needs at least one snapshot")
-    params = {}
-    for name, tensor in named_params(snapshots[0]):
-        stack = [s.params[name].data for s in snapshots]
-        if any(arr.shape != tensor.data.shape for arr in stack):
-            raise DimensionError(f"snapshot shape mismatch for {name}")
-        params[name] = Tensor(np.mean(np.stack(stack), axis=0),
-                              requires_grad=True)
-    return Model(snapshots[0].decoders, params)
+    shapes = param_shapes(snapshots[0])
+    if any(param_shapes(s) != shapes for s in snapshots):
+        raise DimensionError("snapshot parameter shapes differ")
+    values = (np.concatenate([t.data.ravel() for t in s.params.values()])
+              for s in snapshots)
+    return bind(snapshots[0].decoders, shapes,
+                reduce(np.add, values) / len(snapshots))
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +248,9 @@ def train(config: TrainConfig, model: Model, labelled_stream,
     logged, so the labelled graph equals the supervised one. Epoch length
     follows the unlabelled stream when present, the labelled stream
     otherwise; the labelled stream cycles independently of epoch
-    boundaries. Returns (final params, averaged params over the last
-    save_last_k epoch-end snapshots, history rows).
+    boundaries. A non-finite loss or gradient raises NumericalAbort
+    before Adam changes any parameter. Returns (final params, averaged
+    params over the last save_last_k epoch-end snapshots, history rows).
 
     With stop_gradient_audit=True each step additionally differentiates
     each consistency summand alone and verifies the detached head's own
@@ -260,7 +268,7 @@ def train(config: TrainConfig, model: Model, labelled_stream,
     steps_per_epoch = (unlabelled_stream.epoch_len if unlabelled_stream
                        else labelled_stream.epoch_len)
     total_steps = steps_per_epoch * config.epochs
-    named = named_params(model)
+    named = [("params", model.flat)]
     state = AdamState.for_params(named)
     snapshots: deque[Model] = deque(maxlen=config.save_last_k)
     history: list[HistoryRow] = []
@@ -275,7 +283,7 @@ def train(config: TrainConfig, model: Model, labelled_stream,
                 xu, _ = unlabelled_stream.next_batch()
 
             if stop_gradient_audit and xu is not None:
-                _audit_stop_gradient(model, named, xu, step)
+                _audit_stop_gradient(model, xu, step)
 
             joint = xu is not None and a > 0.0
             with Tape():
@@ -314,8 +322,10 @@ def train(config: TrainConfig, model: Model, labelled_stream,
                 raise NumericalAbort(f"non-finite loss {total_val} at step "
                                      f"{step}", step=step)
             backward(total)
-            grads = {name: t.grad for name, t in named}
-            adam_step(named, grads, state, config.lr)
+            if not np.isfinite(model.flat.grad).all():
+                raise NumericalAbort(f"non-finite gradient at step {step}",
+                                     step=step)
+            adam_step(named, {"params": model.flat.grad}, state, config.lr)
             zero_grads(named)
             history.append(HistoryRow(step, epoch, d1.item(), d2_val,
                                       cons_val, a, total_val))
@@ -326,7 +336,7 @@ def train(config: TrainConfig, model: Model, labelled_stream,
     return model, averaged, history
 
 
-def _audit_stop_gradient(model, named, xu, step):
+def _audit_stop_gradient(model, xu, step):
     """Check both one-sided consistency terms leave the detached head's own
     parameters at exactly zero gradient."""
     for mode, frozen_dec in (("first_to_second", 1), ("second_to_first", 0)):
@@ -335,12 +345,12 @@ def _audit_stop_gradient(model, named, xu, step):
             term = consistency_loss(up[0], up[1], mode)
         backward(term)
         frozen = set(decoder_param_names(model, frozen_dec))
-        for name, t in named:
+        for name, t in model.params.items():
             if name in frozen and np.any(t.grad != 0):
                 raise ContractError(
                     f"stop-gradient audit failed at step {step}: {name} got "
                     f"gradient from the {mode} consistency term")
-        zero_grads(named)
+        zero_grads([("params", model.flat)])
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +403,13 @@ def load_model(path, dtype=np.float32) -> tuple[Model, dict[str, str]]:
     if "model.variant" not in echo:
         raise FormatError("checkpoint echo is missing 'model.variant'")
     kinds = variant_spec(echo["model.variant"]).decoders
-    layout = list(param_layout(kinds, echo_value(echo, "model.channels"),
-                               echo_value(echo, "model.in_channels")))
-    if {name for name, _, _ in layout} != set(arrays):
+    shapes = [(name, shape) for name, shape, _ in param_layout(
+        kinds, echo_value(echo, "model.channels"),
+        echo_value(echo, "model.in_channels"))]
+    if [(name, a.shape) for name, a in arrays.items()] != shapes:
         raise FormatError("checkpoint arrays do not match the model layout")
-    params = {}
-    for name, shape, _ in layout:
-        if arrays[name].shape != shape:
-            raise FormatError(f"checkpoint shape mismatch for {name}")
-        params[name] = Tensor(arrays[name].astype(dtype), requires_grad=True)
-    return Model(kinds, params), echo
+    return bind(kinds, shapes, np.concatenate(
+        [a.ravel() for a in arrays.values()], dtype=dtype)), echo
 
 
 # ---------------------------------------------------------------------------

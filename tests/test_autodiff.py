@@ -34,9 +34,10 @@ def test_conv2d_matches_naive_oracle():
 
 
 def test_conv2d_value_only_batch_groups_match_whole_batch():
-    # 4 samples of 16x48x48 in float64 need ~11 MB of columns, over the
-    # 8 MiB budget, so the value-only call runs in sample groups (3 + 1);
-    # the recorded call keeps the whole batch for its backward
+    # 4 samples of 16x48x48 in float64 need ~11 MB of columns, ~2.8 MB
+    # each, over the 1 MiB budget, so the value-only call runs in four
+    # groups of one sample; the recorded call keeps the whole batch for
+    # its backward
     rng = np.random.default_rng(19)
     x = Tensor(rng.standard_normal((4, 16, 48, 48)))
     w = Tensor(rng.standard_normal((4, 16, 3, 3)), requires_grad=True)

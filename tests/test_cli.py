@@ -5,6 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import mismatch.cli as cli
+import mismatch.training as training
 from mismatch.cli import main, merge_config, run_training
 from mismatch.data import load_caseset
 from mismatch.metrics import read_metrics_csv, read_reliability_csv
@@ -161,6 +163,34 @@ def test_train_numerical_abort_exit_code(dataset, tmp_path, capsys):
                    "--set", "train.lr=1e30"] + FAST)
     assert rc == 4
     assert "MM-ERR:" in capsys.readouterr().err
+
+
+def test_train_non_finite_gradient_exit_code(dataset, tmp_path, capsys,
+                                             monkeypatch):
+    # a NaN gradient at the last of FAST's 4 MM steps: applied, it would
+    # leave a NaN model and exit 0
+    models, real_init = [], cli.init_params
+    real_backward, calls = training.backward, []
+
+    def init(*args, **kw):
+        models.append(real_init(*args, **kw))
+        return models[-1]
+
+    def poisoned(loss):
+        real_backward(loss)
+        calls.append(loss)
+        if len(calls) == 4:
+            models[0].params["enc0.main1.w"].grad[0, 0, 0, 0] = np.nan
+
+    monkeypatch.setattr(cli, "init_params", init)
+    monkeypatch.setattr(training, "backward", poisoned)
+    rc = main(["train", "--variant", "MM", "--data", dataset,
+               "--out", str(tmp_path / "x")] + FAST)
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("MM-ERR:"), err
+    assert "non-finite gradient at step 3" in err[0]
+    assert not list(tmp_path.rglob("history.csv"))
 
 
 def test_train_rejects_batch_larger_than_pool(dataset, tmp_path, capsys):

@@ -56,6 +56,10 @@ def test_readme_config_block_equals_defaults():
     ("MM", "loss.dice_smooth=nan"),
     ("MM", "train.lr=inf"),
     ("Sup1", "model.channels=99999999999999999999999"),
+    # int() and float() strip these, but they would split the echo lines
+    ("MM", "train.seed=\n5"),
+    ("MM", "train.lr=\r0.01"),
+    ("MM", "train.epochs=\u20282"),
 ])
 def test_train_rejects_malformed_config(dataset, tmp_path, capsys, variant,
                                         setting):

@@ -7,11 +7,12 @@ import mismatch.nets as nets
 from mismatch.autodiff import Tape, Tensor, backward, mse, sigmoid
 from mismatch.errors import (ConfigError, ContractError, DimensionError,
                              ParameterError)
-from mismatch.nets import (PASB_SIDE_DILATION, VARIANTS, _draw, _stage,
+from mismatch.nets import (PASB_SIDE_DILATION, VARIANTS, _draw, _stage, bind,
                            clone_params, decoder_forward, decoder_param_names,
                            encoder_forward, init_params, mismatch_forward,
                            model_forward, morph_perturb, named_params, nasb,
                            param_layout, pasb, standard_block)
+from mismatch.training import average_checkpoints, load_model, save_checkpoint
 from gradcheck import check_grads
 from oracles import naive_morph
 
@@ -22,7 +23,8 @@ def _init_block(rng, kind, c, dtype):
     """The C -> C decoder block of one `kind` decoder, drawn from rng."""
     layout = [e for e in param_layout((kind,), c, 1)
               if e[0].startswith(BLK + ".")]
-    return _draw(layout, rng, dtype)
+    shapes = [(name, shape) for name, shape, _ in layout]
+    return bind((), shapes, _draw(layout, rng, dtype)).params
 
 
 def _zero_sides(block):
@@ -283,8 +285,7 @@ def test_same_kind_decoders_start_apart():
               if e[0].startswith("dec0.")]
     d1 = _draw(layout, np.random.default_rng(123), np.float32)
     d2 = _draw(layout, np.random.default_rng(123), np.float32)
-    np.testing.assert_array_equal(d1["dec0.block0.main1.w"].data,
-                                  d2["dec0.block0.main1.w"].data)
+    np.testing.assert_array_equal(d1, d2)
 
 
 def test_init_rejects_widths_beyond_physical_memory(monkeypatch):
@@ -331,6 +332,36 @@ def test_clone_is_deep_and_exact():
         assert a is not b
     copy.params["enc0.main1.w"].data[...] = 99.0
     assert not np.any(model.params["enc0.main1.w"].data == 99.0)
+
+
+def _assert_flat_store(model):
+    # an arange written to each flat buffer reads back, in order and with
+    # no gap, through the per-name views
+    for buf in ("data", "grad"):
+        flat = getattr(model.flat, buf)
+        flat[...] = np.arange(flat.size)
+        views = [getattr(t, buf).ravel() for t in model.params.values()]
+        np.testing.assert_array_equal(np.concatenate(views),
+                                      np.arange(flat.size))
+        assert all(np.shares_memory(v, flat) for v in views)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_every_model_builder_returns_a_flat_store(tmp_path, variant):
+    model = init_params(variant, channels=2, seed=4)
+    copy = clone_params(model)
+    averaged = average_checkpoints([model, copy])
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, {"model.variant": variant,
+                                  "model.channels": "2",
+                                  "model.in_channels": "1"})
+    loaded, _ = load_model(path)
+    for buf in ("data", "grad"):
+        assert not np.shares_memory(getattr(copy.flat, buf),
+                                    getattr(model.flat, buf))
+    for m in (model, copy, averaged, loaded):
+        assert m.decoders == VARIANTS[variant].decoders
+        _assert_flat_store(m)
 
 
 def test_grad_flows_to_every_parameter():

@@ -5,7 +5,8 @@ import mismatch.training as training
 from mismatch.autodiff import Tape, Tensor, backward, mse, scale, add
 from mismatch.errors import (ConfigError, ContractError, DimensionError,
                              FormatError, NumericalAbort)
-from mismatch.nets import init_params, model_forward, named_params
+from mismatch.nets import (clone_params, init_params, model_forward,
+                           named_params)
 from mismatch.training import (AdamState, HistoryRow, TrainConfig, adam_step,
                                alpha_at, average_checkpoints, consistency_loss,
                                dice_loss, load_checkpoint, load_model,
@@ -212,6 +213,29 @@ def test_zero_grads_clears_in_place():
     np.testing.assert_array_equal(p.grad, np.zeros(3))
 
 
+def test_adam_over_the_flat_store_matches_the_per_name_loop():
+    # every Adam op is elementwise, so one update over the whole buffer is
+    # bitwise the per-tensor loop
+    rng = np.random.default_rng(76)
+    whole = init_params("MM", channels=8, seed=0)
+    named = named_params(clone_params(whole))
+    flat = [("params", whole.flat)]
+    s_flat, s_named = AdamState.for_params(flat), AdamState.for_params(named)
+    for _ in range(50):
+        g = (rng.standard_normal(whole.flat.data.size)
+             * 10.0 ** rng.integers(-6, 2)).astype(np.float32)
+        adam_step(flat, {"params": g}, s_flat, lr=1e-3)
+        grads, at = {}, 0
+        for name, t in named:
+            grads[name] = g[at:at + t.data.size].reshape(t.shape)
+            at += t.data.size
+        adam_step(named, grads, s_named, lr=1e-3)
+    per_name = np.concatenate([t.data.ravel() for _, t in named])
+    assert whole.flat.data.dtype == per_name.dtype == np.float32
+    np.testing.assert_array_equal(whole.flat.data.view(np.uint32),
+                                  per_name.view(np.uint32))
+
+
 # ---------------------------------------------------------------------------
 # snapshot averaging
 
@@ -322,6 +346,26 @@ def test_train_aborts_on_non_finite_loss():
         with pytest.raises(NumericalAbort) as exc:
             train(cfg, model, _labelled_stub(rng))
     assert exc.value.step == 0
+
+
+def test_train_aborts_on_non_finite_gradient_before_the_update(monkeypatch):
+    rng = np.random.default_rng(77)
+    model = init_params("Sup1", channels=2, seed=0)
+    real, calls, before = training.backward, [], []
+
+    def poisoned(loss):  # a NaN reaches one gradient at the fourth step
+        real(loss)
+        calls.append(loss)
+        if len(calls) == 4:
+            before.append(model.flat.data.copy())
+            model.params["dec0.block1.main2.b"].grad[0] = np.nan
+
+    monkeypatch.setattr(training, "backward", poisoned)
+    cfg = TrainConfig(epochs=3, channels=2)
+    with pytest.raises(NumericalAbort, match="gradient at step 3") as exc:
+        train(cfg, model, _labelled_stub(rng))
+    assert exc.value.step == 3
+    np.testing.assert_array_equal(model.flat.data, before[0])
 
 
 def test_train_validates_streams():
