@@ -390,45 +390,77 @@ def same_padding(kernel: int, dilation: int = 1) -> int:
     return dilation * (kernel - 1) // 2
 
 
-# Column-buffer budget of one value-only conv2d GEMM; 1 MiB evaluates
-# faster than 8 MiB and keeps train-then-eval peak RSS off heap layout.
-_COLS_BYTES = 1 << 20
+# Column blocks of the tap walk: the rows a block reads (the c input rows,
+# or the k*k*c stacked columns) stay within this many bytes, in cache.
+# Unblocked, a 16-slice 64x64 MM forward took 165 ms instead of 130 ms
+# (2-vCPU x86-64, OpenBLAS on one thread).
+_BLOCK_BYTES = 1 << 18
 
 
-def _im2col(xd: np.ndarray, k: int, d: int, p: int) -> np.ndarray:
-    """Flat-shift im2col of NCHW `xd` for a k x k kernel at dilation d and
-    padding p, as a (c*k*k, n*ho*wp) column matrix with wp = w + 2p.
-
-    Each sample is zero-padded into a (hp, wp) plane with one spare bottom
-    row, and flattened. Output pixel (i, j) then reads tap (ki, kj) at flat
-    offset i*wp + j + ki*d*wp + kj*d, so every tap is one contiguous slice
-    of length L = ho*wp. Outputs are computed on the ho x wp grid; its last
-    wp - wo columns wrap into the next row and `_conv_apply` drops them.
-    The spare row keeps the last tap's slice in bounds. One GEMM over the
-    columns covers the whole batch.
-    """
-    n, c, h, w = xd.shape
-    hp, wp = h + 2 * p + 1, w + 2 * p
-    L = (h + 2 * p - d * (k - 1)) * wp
-    xp = np.zeros((c, n, hp, wp), dtype=xd.dtype)
-    xp[:, :, p:p + h, p:p + w] = xd.transpose(1, 0, 2, 3)
-    xp = xp.reshape(c, n, hp * wp)
-    cols = np.empty((c, k * k, n, L), dtype=xd.dtype)
-    for t in range(k * k):
-        off = (t // k) * d * wp + (t % k) * d
-        cols[:, t] = xp[:, :, off:off + L]
-    return cols.reshape(c * k * k, n * L)
+def _flat_grid(a: np.ndarray, hp: int, wp: int, at: int,
+               tail: int) -> np.ndarray:
+    """NCHW `a` laid out channels-first as one flat (c, n*hp*wp + tail)
+    array of zeros, with each sample's plane written at row and column
+    offset `at` of its own hp x wp grid, the grids end to end."""
+    n, c, h, w = a.shape
+    flat = np.zeros((c, n * hp * wp + tail), dtype=a.dtype)
+    grid = flat[:, :n * hp * wp].reshape(c, n, hp, wp)
+    grid[:, :, at:at + h, at:at + w] = a.transpose(1, 0, 2, 3)
+    return flat
 
 
-def _conv_apply(w2: np.ndarray, bias: np.ndarray | None, cols: np.ndarray,
-                ho: int, wo: int, wp: int) -> np.ndarray:
-    """(o, c*k*k) weights times `_im2col` columns, plus an optional bias,
-    with the wrap columns dropped: the NCHW (n, o, ho, wo) result."""
-    out2 = w2 @ cols
-    if bias is not None:
-        out2 += bias[:, None]
-    out2 = out2.reshape(w2.shape[0], -1, ho, wp)[:, :, :, :wo]
-    return np.ascontiguousarray(out2.transpose(1, 0, 2, 3))
+def _blocks(m: int, rows: int, itemsize: int):
+    """Column slices of a length-m tap walk that reads `rows` rows."""
+    step = max(1, _BLOCK_BYTES // (rows * itemsize))
+    for m0 in range(0, m, step):
+        yield m0, min(m0 + step, m)
+
+
+def _tap_view(src: np.ndarray, k: int, d: int, wp: int,
+              m: int) -> np.ndarray:
+    """Every kernel tap of a flat (c, m + tail) `src` at once, as a
+    (k, k, c, m) strided view that copies nothing: tap (ki, kj) is
+    src[:, f:f + m] at f = ki*d*wp + kj*d, and the tail,
+    (k-1)*d*(wp + 1), is exactly the last tap's reach."""
+    size = src.itemsize
+    return np.lib.stride_tricks.as_strided(
+        src, (k, k, src.shape[0], m),
+        (d * wp * size, d * size, src.strides[0], size), writeable=False)
+
+
+def _conv_flat(taps: np.ndarray, view: np.ndarray) -> np.ndarray:
+    """The (o, m) sum over taps (ki, kj) of taps[ki, kj] @ view[ki, kj],
+    for (k, k, o, c) `taps` and a `_tap_view`, block by block.
+
+    Each tap's view goes to BLAS in place as its own GEMM, which re-reads
+    and re-writes the o output rows of a block once per tap. Where o > c,
+    copying the c input rows of every tap is cheaper, so the views are
+    stacked into one (k*k*c, block) matrix and one GEMM."""
+    k, _, o, c = taps.shape
+    m = view.shape[-1]
+    out = np.empty((o, m), dtype=view.dtype)
+    stacked = o > c
+    w2 = taps.transpose(2, 0, 1, 3).reshape(o, k * k * c) if stacked else None
+    for m0, m1 in _blocks(m, k * k * c if stacked else c, view.itemsize):
+        blk, cols = out[:, m0:m1], view[..., m0:m1]
+        if stacked:  # the reshape is the copy
+            np.matmul(w2, cols.reshape(k * k * c, m1 - m0), out=blk)
+            continue
+        np.matmul(taps[0, 0], cols[0, 0], out=blk)
+        for t in range(1, k * k):
+            blk += taps[t // k, t % k] @ cols[t // k, t % k]
+    return out
+
+
+def _conv_weight_grad(gf: np.ndarray, view: np.ndarray) -> np.ndarray:
+    """The (k, k, o, c) weight gradient: tap (ki, kj) is gf @ view[ki, kj].T
+    for (o, m) `gf` on the forward's grid and the input's `_tap_view`.
+    Every tap of a column block goes to BLAS in one batched GEMM."""
+    k, _, c, m = view.shape
+    gw = np.zeros((k, k, gf.shape[0], c), dtype=gf.dtype)
+    for m0, m1 in _blocks(m, c, view.itemsize):
+        gw += np.matmul(gf[:, m0:m1], view[..., m0:m1].swapaxes(-1, -2))
+    return gw
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int,
@@ -436,9 +468,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int,
     """Stride-1 dilated 2D convolution, NCHW x OIHW -> NOHW.
 
     The effective kernel extent is dilation*(K-1)+1; same-size output
-    needs padding = dilation*(K-1)/2 for odd K. Internally a flat-shift
-    im2col/matmul formulation (`_im2col`, `_conv_apply`). The input
-    gradient is the same kernel run on the output gradient with the
+    needs padding = dilation*(K-1)/2 for odd K. Internally one GEMM per
+    kernel tap over strided views of the flat padded input (`_conv_flat`),
+    with no column buffer; the tape keeps only that padded input. The
+    input gradient is the same kernel run on the output gradient with the
     flipped, channel-transposed weights; the quadruple-loop definition is
     kept in the test suite as the oracle.
     """
@@ -453,11 +486,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int,
                              f"input has {c}")
     if b.shape != (o,):
         raise DimensionError(f"conv2d: bias shape {b.shape} != ({o},)")
-    if not isinstance(dilation, (int, np.integer)) or dilation < 1:
-        raise ParameterError(f"conv2d: dilation must be a positive int, got "
-                             f"{dilation!r}")
-    if padding < 0:
-        raise ParameterError("conv2d: padding must be non-negative")
+    for name, value, least in (("dilation", dilation, 1),
+                               ("padding", padding, 0)):
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < least):
+            raise ParameterError(f"conv2d: {name} must be an int >= {least}, "
+                                 f"got {value!r}")
 
     k, d, p = kh, int(dilation), int(padding)
     eff = d * (k - 1) + 1
@@ -467,45 +501,38 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int,
         raise DimensionError(f"conv2d: effective kernel {eff} exceeds padded "
                              f"input {h + 2 * p}x{wd + 2 * p}")
 
-    wp = wd + 2 * p
-    w2 = w.data.reshape(o, c * k * k)
-
-    # Value-only calls (evaluation at the batch size of a whole case) run
-    # in groups of samples whose column buffer stays near _COLS_BYTES, so
-    # it stays cache-sized and the process's peak memory stays low.
-    per_sample = c * k * k * ho * wp * x.data.itemsize
-    if (n * per_sample > _COLS_BYTES
-            and not _records(active_tape(), (x, w, b))):
-        step = max(1, _COLS_BYTES // per_sample)
-        return Tensor(np.concatenate([
-            _conv_apply(w2, b.data, _im2col(x.data[s:s + step], k, d, p),
-                        ho, wo, wp)
-            for s in range(0, n, step)]))
-
-    cols = _im2col(x.data, k, d, p)
-    out = _conv_apply(w2, b.data, cols, ho, wo, wp)
+    # Every sample is zero-padded into an hp x wp grid, flattened, and the
+    # grids laid end to end: output (i, j) of a sample then reads tap
+    # (ki, kj) at flat offset i*wp + j + ki*d*wp + kj*d, so each tap is one
+    # strided (c, m) view. Outputs are computed on the whole grid; the rows
+    # and columns past ho x wo wrap into the next row or sample and are
+    # dropped. The tail keeps the last tap's view in bounds.
+    hp, wp = h + 2 * p, wd + 2 * p
+    m, tail = n * hp * wp, (eff - 1) * (wp + 1)
+    xp = _tap_view(_flat_grid(x.data, hp, wp, p, tail), k, d, wp, m)
+    taps = w.data.transpose(2, 3, 0, 1)
+    out2 = _conv_flat(taps, xp)
+    out2 += b.data[:, None]
+    out = np.ascontiguousarray(
+        out2.reshape(o, n, hp, wp)[:, :, :ho, :wo].transpose(1, 0, 2, 3))
     needs_gx = x.requires_grad
 
     def bw(g):
         gb = g.sum(axis=(0, 2, 3))
-        # the wrap columns get zero gradient, so they add nothing below
-        g2 = np.zeros((o, n, ho, wp), dtype=g.dtype)
-        g2[:, :, :, :wo] = g.transpose(1, 0, 2, 3)
-        g2 = g2.reshape(o, n * ho * wp)
-        # cols @ g2.T runs ~2x faster in BLAS than g2 @ cols.T at o << c*k*k
-        gw = (cols @ g2.T).T.reshape(o, c, k, k)
+        # g written at row and column eff-1 of the forward's grid lands
+        # `tail` flat places after output (i, j), so gp[:, tail:tail + m] is
+        # g on that grid, zero on every wrap position: the weight
+        # gradient's operand. Input (i, j) meets g at (i - ki*d, j - kj*d),
+        # flat offset tail - ki*d*wp - kj*d in gp, which is the flipped
+        # tap's offset: the input gradient is the tap walk over gp with the
+        # flipped, channel-transposed kernel.
+        gp = _flat_grid(g, hp, wp, eff - 1, tail)
+        gw = _conv_weight_grad(gp[:, tail:tail + m], xp).transpose(2, 3, 0, 1)
         if not needs_gx:
             return (None, gw, gb)
-        # gx is g convolved with the flipped kernel, channels transposed, at
-        # padding q = eff-1-p. A negative q (padding beyond the kernel's
-        # reach) runs at padding 0 and crops -q from each border.
-        q = eff - 1 - p
-        qc, crop = max(q, 0), max(-q, 0)
-        wt2 = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-        gx = _conv_apply(wt2, None, _im2col(g, k, d, qc),
-                         h + 2 * crop, wd + 2 * crop, wo + 2 * qc)
-        if crop:
-            gx = gx[:, :, crop:crop + h, crop:crop + wd]
-        return (gx, gw, gb)
+        gxp = _conv_flat(taps[::-1, ::-1].transpose(0, 1, 3, 2),
+                         _tap_view(gp, k, d, wp, m))
+        gx = gxp.reshape(c, n, hp, wp)[:, :, p:p + h, p:p + wd]
+        return (np.ascontiguousarray(gx.transpose(1, 0, 2, 3)), gw, gb)
 
     return record_op("conv2d", (x, w, b), out, bw)

@@ -274,16 +274,39 @@ def param_layout(kinds: tuple[str, ...], channels: int, in_channels: int):
         yield f"dec{j}.head.b", (1,), "zeros"
 
 
-def bind(kinds, shapes, data) -> Model:
-    """The one builder of parameter Tensors: views into 1-D `data` and a
-    zeroed grad of its size, one per (name, shape), end to end."""
-    flat = Tensor(data, requires_grad=True)
+def bind(kinds, shapes, data, trainable: bool = True) -> Model:
+    """The one builder of parameter Tensors: views into 1-D `data`, one per
+    (name, shape), end to end. A trainable model also gets a zeroed grad
+    buffer of the same size, viewed the same way; a snapshot, an average
+    or a loaded model is never trained, so it carries none."""
+    flat = Tensor(data, requires_grad=trainable)
     params, end = {}, 0
     for name, shape in shapes:
         start, end = end, end + math.prod(shape)
         t = params[name] = Tensor(flat.data[start:end].reshape(shape))
-        t.requires_grad, t.grad = True, flat.grad[start:end].reshape(shape)
+        if trainable:
+            t.requires_grad, t.grad = True, flat.grad[start:end].reshape(shape)
     return Model(kinds, params, flat)
+
+
+def detached_params(model: Model) -> list[str]:
+    """Names whose .data or .grad no longer views its own span of
+    `model.flat` (say, after `params[name].data = ...`), in layout order."""
+    bad, at = [], 0
+    for name, t in model.params.items():
+        size = t.data.size
+        for mine, whole in ((t.data, model.flat.data),
+                            (t.grad, model.flat.grad)):
+            if whole is None:
+                continue
+            span = whole[at:at + size]
+            if (mine is None or mine.dtype != span.dtype or mine.size != size
+                    or not mine.flags.c_contiguous
+                    or mine.ctypes.data != span.ctypes.data):
+                bad.append(name)
+                break
+        at += size
+    return bad
 
 
 def _draw(layout, rng, dtype) -> np.ndarray:
@@ -343,5 +366,7 @@ def param_shapes(model: Model) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def clone_params(model: Model) -> Model:
-    """Deep copy; snapshots stay frozen while training keeps mutating."""
-    return bind(model.decoders, param_shapes(model), model.flat.data.copy())
+    """Deep copy of the values; snapshots stay frozen while training keeps
+    mutating, and carry no gradient buffer."""
+    return bind(model.decoders, param_shapes(model), model.flat.data.copy(),
+                trainable=False)

@@ -22,8 +22,8 @@ from .errors import (ConfigError, ContractError, DimensionError, FormatError,
                      NumericalAbort)
 from .metrics import read_table, write_table
 from .nets import (Model, bind, clone_params, decoder_param_names,
-                   model_forward, named_params, param_layout, param_shapes,
-                   variant_spec)
+                   detached_params, model_forward, named_params, param_layout,
+                   param_shapes, variant_spec)
 
 CONSISTENCY_MODES = ("symmetric", "first_to_second", "second_to_first")
 ALPHA_SCHEDULES = ("warmup", "constant")
@@ -219,7 +219,7 @@ def average_checkpoints(snapshots: list[Model]) -> Model:
     values = (np.concatenate([t.data.ravel() for t in s.params.values()])
               for s in snapshots)
     return bind(snapshots[0].decoders, shapes,
-                reduce(np.add, values) / len(snapshots))
+                reduce(np.add, values) / len(snapshots), trainable=False)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +264,14 @@ def train(config: TrainConfig, model: Model, labelled_stream,
                           "supervised-only")
     if unlabelled_stream is not None and len(model.decoders) != 2:
         raise ContractError("consistency training needs a two-decoder model")
+    if model.flat.grad is None:
+        raise ContractError("model has no gradient buffer; train a model "
+                            "built by init_params")
+    detached = detached_params(model)
+    if detached:
+        raise ContractError(f"parameters {detached} no longer view the "
+                            f"model's flat store; write into .data[...] "
+                            f"instead of rebinding it")
 
     steps_per_epoch = (unlabelled_stream.epoch_len if unlabelled_stream
                        else labelled_stream.epoch_len)
@@ -409,7 +417,8 @@ def load_model(path, dtype=np.float32) -> tuple[Model, dict[str, str]]:
     if [(name, a.shape) for name, a in arrays.items()] != shapes:
         raise FormatError("checkpoint arrays do not match the model layout")
     return bind(kinds, shapes, np.concatenate(
-        [a.ravel() for a in arrays.values()], dtype=dtype)), echo
+        [a.ravel() for a in arrays.values()], dtype=dtype),
+        trainable=False), echo
 
 
 # ---------------------------------------------------------------------------

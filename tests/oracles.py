@@ -34,6 +34,45 @@ def naive_conv2d(x, w, b, padding, dilation):
     return out
 
 
+def window_conv2d(x, w, b, padding, dilation):
+    """naive_conv2d with its pixel loops as array slices: for each output
+    channel, input channel and kernel tap, add the weight times the tap's
+    shifted window of the padded input."""
+    n, c, h, wd = x.shape
+    o, _, k, _ = w.shape
+    d, p = dilation, padding
+    ho = h + 2 * p - d * (k - 1)
+    wo = wd + 2 * p - d * (k - 1)
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    out = np.zeros((n, o, ho, wo), dtype=x.dtype)
+    for oi in range(o):
+        for ci in range(c):
+            for ki in range(k):
+                for kj in range(k):
+                    out[:, oi] += (w[oi, ci, ki, kj] * xp[
+                        :, ci, ki * d:ki * d + ho, kj * d:kj * d + wo])
+        out[:, oi] += b[oi]
+    return out
+
+
+def window_conv2d_weight_grad(x, g, k, padding, dilation):
+    """Weight gradient of stride-1 dilated convolution: w[o, c, ki, kj]
+    meets the tap's shifted window of the padded input x[:, c] at every
+    output pixel of g[:, o], so its gradient is their summed product."""
+    n, c, h, wd = x.shape
+    o, ho, wo = g.shape[1:]
+    d, p = dilation, padding
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    gw = np.zeros((o, c, k, k), dtype=g.dtype)
+    for oi in range(o):
+        for ci in range(c):
+            for ki in range(k):
+                for kj in range(k):
+                    gw[oi, ci, ki, kj] = np.sum(g[:, oi] * xp[
+                        :, ci, ki * d:ki * d + ho, kj * d:kj * d + wo])
+    return gw
+
+
 def col2im_conv2d_input_grad(g, w, x_shape, padding, dilation):
     """Input gradient of stride-1 dilated convolution in col2im form: each
     kernel tap's column gradient w[:, :, ki, kj].T @ g is added back onto

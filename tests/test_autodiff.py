@@ -1,5 +1,7 @@
+import itertools
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from mismatch.errors import DimensionError, GraphError, ParameterError
 from gradcheck import check_grads
 from oracles import (col2im_conv2d_input_grad, naive_conv2d, naive_maxpool2,
                      naive_upsample_bilinear2, rel_err,
-                     scatter_upsample_bilinear2_backward)
+                     scatter_upsample_bilinear2_backward, window_conv2d,
+                     window_conv2d_weight_grad)
 
 
 def leaf(rng, *shape):
@@ -24,20 +27,24 @@ def leaf(rng, *shape):
 
 def test_conv2d_matches_naive_oracle():
     rng = np.random.default_rng(11)
-    for d, p in [(1, 0), (1, 1), (2, 2), (5, 10)]:
-        x = Tensor(rng.standard_normal((2, 3, 12, 12)))
-        w = Tensor(rng.standard_normal((4, 3, 3, 3)))
-        b = Tensor(rng.standard_normal(4))
+    # 3 -> 4 channels stacks the tap views, 4 -> 3 runs one GEMM per tap
+    for (c, o), (d, p) in itertools.product([(3, 4), (4, 3)],
+                                            [(1, 0), (1, 1), (2, 2), (5, 10)]):
+        x = Tensor(rng.standard_normal((2, c, 12, 12)))
+        w = Tensor(rng.standard_normal((o, c, 3, 3)))
+        b = Tensor(rng.standard_normal(o))
         got = conv2d(x, w, b, padding=p, dilation=d).data
         want = naive_conv2d(x.data, w.data, b.data, p, d)
         assert rel_err(got, want) < 1e-12
+        assert rel_err(window_conv2d(x.data, w.data, b.data, p, d),
+                       want) < 1e-12
 
 
 def test_conv2d_value_only_batch_groups_match_whole_batch():
-    # 4 samples of 16x48x48 in float64 need ~11 MB of columns, ~2.8 MB
-    # each, over the 1 MiB budget, so the value-only call runs in four
-    # groups of one sample; the recorded call keeps the whole batch for
-    # its backward
+    # A value-only call and a recorded call of the same 4-sample float64
+    # batch (16 -> 4 at 48x48: 10,000 grid columns in 5 column blocks)
+    # take the same tap walk, and the recorded one keeps only the padded
+    # input for its backward; both must give the same values
     rng = np.random.default_rng(19)
     x = Tensor(rng.standard_normal((4, 16, 48, 48)))
     w = Tensor(rng.standard_normal((4, 16, 3, 3)), requires_grad=True)
@@ -60,10 +67,62 @@ MM_STEP_CONVS = [
 ]
 
 
+# Beyond one 256 KiB column block in float64: per tap (24 -> 8, 52 blocks)
+# and stacked (8 -> 16, 41 blocks), as (n, c, o, side, kernel, padding,
+# dilation).
+BLOCKED_CONVS = [(16, 24, 8, 64, 3, 1, 1), (16, 8, 16, 32, 3, 1, 1)]
+
+
+def test_conv2d_forward_and_weight_grad_match_oracles():
+    # every MM step shape at n=2, both sides of the o > c stacking rule,
+    # then the blocked shapes against the sliced form of the same oracle
+    rng = np.random.default_rng(29)
+    shapes = [(2, *s) for s in MM_STEP_CONVS] + BLOCKED_CONVS
+    assert {o > c for _, c, o, *_ in shapes} == {True, False}
+    for n, c, o, side, k, p, d in shapes:
+        x = Tensor(rng.standard_normal((n, c, side, side)), requires_grad=True)
+        w = Tensor(rng.standard_normal((o, c, k, k)), requires_grad=True)
+        b = Tensor(rng.standard_normal(o), requires_grad=True)
+        with Tape() as tape:
+            out = conv2d(x, w, b, p, dilation=d)
+        oracle = naive_conv2d if n == 2 else window_conv2d
+        assert rel_err(out.data, oracle(x.data, w.data, b.data, p, d)) < 1e-12
+        g = rng.standard_normal(out.shape)
+        _, gw, gb = tape.nodes[-1].backward_fn(g)
+        want = window_conv2d_weight_grad(x.data, g, k, p, d)
+        assert gw.shape == w.shape
+        assert rel_err(gw, want) < 1e-12
+        assert rel_err(gb, g.sum(axis=(0, 2, 3))) < 1e-12
+
+
+def test_recorded_conv2d_keeps_no_column_buffer():
+    # im2col kept c*k*k*n*ho*wp floats alive from forward to backward, 9x
+    # the padded input: 1.9 MB for this float32 24 -> 8 conv at 32x32
+    rng = np.random.default_rng(37)
+    x = Tensor(rng.standard_normal((2, 24, 32, 32)).astype(np.float32),
+               requires_grad=True)
+    w = Tensor(rng.standard_normal((8, 24, 3, 3)).astype(np.float32),
+               requires_grad=True)
+    b = Tensor(np.zeros(8, np.float32), requires_grad=True)
+    cols_bytes = 24 * 9 * 2 * 32 * 34 * 4
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            out = conv2d(x, w, b, 1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < cols_bytes / 4, retained
+    gx, gw, _ = tape.nodes[-1].backward_fn(np.ones_like(out.data))
+    assert gx.shape == x.shape and gw.shape == w.shape
+
+
 def test_conv2d_input_grad_matches_col2im_oracle():
     rng = np.random.default_rng(31)
-    for c, o, side, k, p, d in MM_STEP_CONVS:
-        x = Tensor(rng.standard_normal((2, c, side, side)), requires_grad=True)
+    for n, c, o, side, k, p, d in ([(2, *s) for s in MM_STEP_CONVS]
+                                   + BLOCKED_CONVS):
+        x = Tensor(rng.standard_normal((n, c, side, side)), requires_grad=True)
         w = Tensor(rng.standard_normal((o, c, k, k)), requires_grad=True)
         b = Tensor(rng.standard_normal(o), requires_grad=True)
         with Tape() as tape:
@@ -118,6 +177,11 @@ def test_conv2d_rejects_bad_arguments():
         conv2d(x, w, b, padding=1, dilation=1.5)
     with pytest.raises(ParameterError):
         conv2d(x, w, b, padding=-1)
+    for bad in (1.5, "1", True, None):
+        with pytest.raises(ParameterError):
+            conv2d(x, w, b, padding=bad)
+    with pytest.raises(ParameterError):
+        conv2d(x, w, b, padding=1, dilation=True)
     with pytest.raises(DimensionError):
         conv2d(x, w, b, padding=0, dilation=8)  # extent 17 > 8
 

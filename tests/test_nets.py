@@ -334,10 +334,10 @@ def test_clone_is_deep_and_exact():
     assert not np.any(model.params["enc0.main1.w"].data == 99.0)
 
 
-def _assert_flat_store(model):
+def _assert_flat_store(model, bufs):
     # an arange written to each flat buffer reads back, in order and with
     # no gap, through the per-name views
-    for buf in ("data", "grad"):
+    for buf in bufs:
         flat = getattr(model.flat, buf)
         flat[...] = np.arange(flat.size)
         views = [getattr(t, buf).ravel() for t in model.params.values()]
@@ -356,12 +356,15 @@ def test_every_model_builder_returns_a_flat_store(tmp_path, variant):
                                   "model.channels": "2",
                                   "model.in_channels": "1"})
     loaded, _ = load_model(path)
-    for buf in ("data", "grad"):
-        assert not np.shares_memory(getattr(copy.flat, buf),
-                                    getattr(model.flat, buf))
+    assert not np.shares_memory(copy.flat.data, model.flat.data)
+    # only the model that is trained carries a gradient buffer
+    _assert_flat_store(model, ("data", "grad"))
+    for m in (copy, averaged, loaded):
+        assert m.flat.grad is None
+        assert all(t.grad is None for t in m.params.values())
+        _assert_flat_store(m, ("data",))
     for m in (model, copy, averaged, loaded):
         assert m.decoders == VARIANTS[variant].decoders
-        _assert_flat_store(m)
 
 
 def test_grad_flows_to_every_parameter():

@@ -368,6 +368,29 @@ def test_train_aborts_on_non_finite_gradient_before_the_update(monkeypatch):
     np.testing.assert_array_equal(model.flat.data, before[0])
 
 
+def test_train_refuses_a_detached_parameter_before_step_zero():
+    # Rebinding .data cuts the tensor off model.flat, which Adam, zeroing
+    # and snapshots act on; training it would silently freeze one side.
+    rng = np.random.default_rng(78)
+    cfg = TrainConfig(epochs=1, channels=2)
+    model = init_params("Sup1", channels=2, seed=0)
+    name = "enc1.main2.w"
+    model.params[name].data = model.params[name].data.copy()
+    before = model.flat.data.copy()
+    with pytest.raises(ContractError, match=name):
+        train(cfg, model, _labelled_stub(rng))
+    np.testing.assert_array_equal(model.flat.data, before)
+    # a rebound gradient is cut off the same way
+    model = init_params("Sup1", channels=2, seed=0)
+    model.params[name].grad = np.zeros_like(model.params[name].grad)
+    with pytest.raises(ContractError, match=name):
+        train(cfg, model, _labelled_stub(rng))
+    # a snapshot carries no gradient buffer, so it cannot be trained
+    with pytest.raises(ContractError, match="gradient buffer"):
+        train(cfg, clone_params(init_params("Sup1", channels=2)),
+              _labelled_stub(rng))
+
+
 def test_train_validates_streams():
     rng = np.random.default_rng(71)
     model = init_params("Sup1", channels=2, seed=0)
