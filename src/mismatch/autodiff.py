@@ -20,8 +20,8 @@ from .errors import DimensionError, GraphError, ParameterError
 __all__ = [
     "Tensor", "Tape", "active_tape", "as_tensor", "record_op", "backward",
     "add", "mul", "scale", "mse", "relu", "sigmoid", "stop_gradient",
-    "concat_channels", "take_batch", "maxpool2", "upsample_bilinear2",
-    "instance_norm", "conv2d", "same_padding",
+    "concat_channels", "take_batch", "window_extreme", "maxpool2",
+    "upsample_bilinear2", "instance_norm", "conv2d", "same_padding",
 ]
 
 
@@ -213,18 +213,21 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0  # subgradient 0 at 0
-    return record_op("relu", (x,), np.maximum(x.data, 0), lambda g: (g * mask,))
+    out = np.maximum(x.data, 0)
+    # out > 0 exactly where x > 0 (subgradient 0 at 0): the mask is built
+    # only if a backward pass asks for it
+    return record_op("relu", (x,), out, lambda g: (g * (out > 0),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # Branch-free split form: exp only ever sees -|x|, so large |x| cannot
+    # Split form: exp only ever sees -|x| or min(x, 0), so large |x| cannot
     # overflow, and for x < 0 the value e/(1+e) stays a small positive
-    # number instead of rounding 1 - 1/(1+e) to zero.
+    # number instead of rounding 1 - 1/(1+e) to zero. exp(min(x, 0)) is e
+    # for x < 0 and exactly 1 otherwise, so the product selects e*r or r
+    # without a masked select, which costs ten times an exp.
     xd = x.data
-    e = np.exp(-np.abs(xd))
-    r = 1.0 / (1.0 + e)
-    out = np.where(xd >= 0, r, e * r)
+    r = 1.0 / (1.0 + np.exp(-np.abs(xd)))
+    out = np.exp(np.minimum(xd, 0)) * r
 
     def bw(g):
         return (g * out * (1.0 - out),)
@@ -268,29 +271,62 @@ def take_batch(x: Tensor, start: int, stop: int) -> Tensor:
     return record_op("take_batch", (x,), x.data[start:stop], bw)
 
 
+def window_extreme(op: str, x: Tensor, k: int, stride: int, pad: int,
+                   reduce) -> Tensor:
+    """Max (`reduce` np.maximum) or min (np.minimum) over every k x k
+    window of NCHW `x` at `stride`, the border padded with `pad` rows and
+    columns of -inf (max) or +inf (min) so that the pad never wins.
+
+    The forward is a running `reduce` over the k*k tap views, one strided
+    slice each, and copies no window. The backward routes each output
+    gradient to the first tap, in window row-major order, that equals the
+    output: argmax's first-index tie rule, kept by clearing `free` where
+    a tap has already taken the gradient.
+    """
+    h, w = x.shape[2:]
+    src = x.data
+    if pad:
+        fill = -np.inf if reduce is np.maximum else np.inf
+        src = np.pad(src, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                     constant_values=fill)
+    ho = (h + 2 * pad - k) // stride + 1
+    wo = (w + 2 * pad - k) // stride + 1
+    taps = [(Ellipsis, slice(i, i + stride * (ho - 1) + 1, stride),
+             slice(j, j + stride * (wo - 1) + 1, stride))
+            for i in range(k) for j in range(k)]
+    # np.maximum/np.minimum return their second operand when -0.0 meets
+    # +0.0, so the running value goes second and the earlier tap wins
+    out = reduce(src[taps[1]], src[taps[0]])
+    for t in taps[2:]:
+        reduce(src[t], out, out=out)
+
+    def bw(g):
+        free = np.ones(out.shape, dtype=bool)
+        hits = []
+        for t in taps:
+            hit = src[t] == out
+            hit &= free
+            free ^= hit
+            hits.append(hit)
+        # last tap first: each input then sums its gradients in the order
+        # of the outputs that read it, as a scatter-add over them would
+        gs = np.zeros_like(src)
+        for t, hit in zip(reversed(taps), reversed(hits)):
+            gs[t] += g * hit
+        return (gs[..., pad:pad + h, pad:pad + w],)
+
+    return record_op(op, (x,), out, bw)
+
+
 def maxpool2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2. Ties route gradient to the first
     maximal element in window row-major order."""
     if x.data.ndim != 4:
         raise DimensionError("maxpool2 expects NCHW input")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise DimensionError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    win = (x.data.reshape(n, c, h // 2, 2, w // 2, 2)
-           .transpose(0, 1, 2, 4, 3, 5)
-           .reshape(n, c, h // 2, w // 2, 4))
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-
-    def bw(g):
-        gw = np.zeros_like(win)
-        np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
-        gx = (gw.reshape(n, c, h // 2, w // 2, 2, 2)
-              .transpose(0, 1, 2, 4, 3, 5)
-              .reshape(n, c, h, w))
-        return (gx,)
-
-    return record_op("maxpool2", (x,), out, bw)
+    return window_extreme("maxpool2", x, 2, 2, 0, np.maximum)
 
 
 def upsample_bilinear2(x: Tensor) -> Tensor:

@@ -136,8 +136,13 @@ def _head_names(model) -> list[str]:
 
 def _case_probs(model, case) -> dict[str, np.ndarray]:
     """Forward a whole case (slices as the batch axis); no tape is active,
-    so nothing is recorded."""
-    probs = model_forward(model, Tensor(case.image.astype(np.float32)))
+    so nothing is recorded. A finite checkpoint can still overflow on the
+    way: non-finite probabilities are a NumericalAbort, never a metric."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = model_forward(model, Tensor(case.image.astype(np.float32)))
+    if not all(np.isfinite(p.data).all() for p in probs):
+        raise NumericalAbort(f"case {case.case_id}: the model's probabilities "
+                             f"are not finite")
     if len(probs) == 1:
         return {"p": probs[0].data}
     return {"p1": probs[0].data, "p2": probs[1].data,
@@ -232,8 +237,9 @@ def cmd_calibrate(args) -> int:
     pooled: dict[str, list[np.ndarray]] = {h: [] for h in heads}
     pooled_gt: list[np.ndarray] = []
     summary: list[tuple[str, str, float]] = []
-    for case in cases:
-        probs = _case_probs(model, case)
+    # every forward runs, and may abort, before the first file is written
+    case_probs = [_case_probs(model, case) for case in cases]
+    for case, probs in zip(cases, case_probs):
         for s in range(case.image.shape[0]):
             g = case.mask[s, 0].ravel()
             pooled_gt.append(g)

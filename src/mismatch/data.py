@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError, ParameterError
+from .errors import ConfigError, FormatError, ParameterError
 
 TENSOR_MAGIC = b"MMTENS01"
 SPLIT_NAMES = ("labelled_train", "unlabelled_train", "validation", "test")
@@ -150,21 +150,6 @@ def casewise_normalize(case: Case) -> Case:
         std = chan.std()
         out[:, c] = (chan - chan.mean()) / max(std, 1e-8)
     return Case(case.case_id, out, case.mask, case.labelled)
-
-
-def crop_corners(slice_chw: np.ndarray, crop: int) -> list[np.ndarray]:
-    """The four crop x crop corner patches of a (C, H, W) slice."""
-    if slice_chw.ndim != 3:
-        raise DimensionError("crop_corners expects a CHW slice")
-    h, w = slice_chw.shape[1], slice_chw.shape[2]
-    if not 0 < crop <= min(h, w):
-        raise ParameterError(f"crop {crop} outside (0, {min(h, w)}]")
-    return [
-        slice_chw[:, :crop, :crop].copy(),
-        slice_chw[:, :crop, w - crop:].copy(),
-        slice_chw[:, h - crop:, :crop].copy(),
-        slice_chw[:, h - crop:, w - crop:].copy(),
-    ]
 
 
 def filter_foreground(case: Case, min_pixels: int) -> list[int]:
@@ -457,6 +442,12 @@ def load_caseset(manifest_path) -> CaseSet:
                     or mask.shape != (image.shape[0], 1) + image.shape[2:]):
                 raise FormatError(f"manifest line {ln}: image {image.shape} "
                                   f"and mask {mask.shape} disagree")
+            if not np.isfinite(image).all():
+                raise FormatError(f"manifest line {ln}: image holds "
+                                  f"non-finite values")
+            if not ((mask == 0) | (mask == 1)).all():
+                raise FormatError(f"manifest line {ln}: mask holds values "
+                                  f"other than 0 and 1")
             split.setdefault(split_name, []).append(len(cases))
             cases.append(Case(case_id, image.astype(np.float64),
                               mask.astype(np.float64), labelled == "1"))

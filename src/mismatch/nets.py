@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (Tensor, add, concat_channels, conv2d, instance_norm,
-                       maxpool2, mul, record_op, relu, same_padding, scale,
-                       sigmoid, upsample_bilinear2)
+                       maxpool2, mul, relu, same_padding, scale, sigmoid,
+                       upsample_bilinear2, window_extreme)
 from .errors import ConfigError, ContractError, DimensionError, ParameterError
 
 PASB_SIDE_DILATION = 5
@@ -95,21 +95,8 @@ def morph_perturb(x: Tensor, mode: str) -> Tensor:
         raise ParameterError(f"morph_perturb: unknown mode {mode!r}")
     if x.data.ndim != 4:
         raise DimensionError("morph_perturb expects NCHW input")
-    n, c, h, w = x.shape
-    fill = -np.inf if mode == "dilate" else np.inf
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=fill)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
-    win = win.reshape(n, c, h, w, 9)
-    idx = win.argmax(axis=-1) if mode == "dilate" else win.argmin(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-
-    def bw(g):
-        gp = np.zeros((n, c, h + 2, w + 2), dtype=g.dtype)
-        nn, cc, ii, jj = np.ogrid[:n, :c, :h, :w]
-        np.add.at(gp, (nn, cc, ii + idx // 3, jj + idx % 3), g)
-        return (gp[:, :, 1:-1, 1:-1],)
-
-    return record_op(f"morph_{mode}", (x,), out, bw)
+    reduce = np.maximum if mode == "dilate" else np.minimum
+    return window_extreme(f"morph_{mode}", x, 3, 1, 1, reduce)
 
 
 def standard_block(x: Tensor, params, prefix: str,
@@ -227,14 +214,6 @@ def average_prediction(probs: list[Tensor]) -> Tensor:
     if len(probs) != 2:
         raise ContractError(f"expected 1 or 2 heads, got {len(probs)}")
     return scale(add(probs[0], probs[1]), 0.5)
-
-
-def mismatch_forward(image: Tensor, model: Model):
-    """Forward pass of a two-headed model: (p1, p2, averaged prediction)."""
-    if len(model.decoders) != 2:
-        raise ContractError("mismatch_forward needs a two-decoder model")
-    probs = model_forward(model, image)
-    return probs[0], probs[1], average_prediction(probs)
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,10 @@ def load_model(path, dtype=np.float32) -> tuple[Model, dict[str, str]]:
         echo_value(echo, "model.in_channels"))]
     if [(name, a.shape) for name, a in arrays.items()] != shapes:
         raise FormatError("checkpoint arrays do not match the model layout")
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise FormatError(f"checkpoint parameter {name} holds non-finite "
+                              f"values")
     return bind(kinds, shapes, np.concatenate(
         [a.ravel() for a in arrays.values()], dtype=dtype),
         trainable=False), echo

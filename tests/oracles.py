@@ -248,3 +248,44 @@ def rel_err(ad, fd):
     fd = np.asarray(fd)
     scale = max(float(np.max(np.abs(fd))), 1e-8)
     return float(np.max(np.abs(ad - fd))) / scale
+
+
+def where_sigmoid(x):
+    """Logistic function in split form, selected by a masked np.where:
+    r = 1/(1+e) for x >= 0 and e*r for x < 0, with e = exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    r = 1.0 / (1.0 + e)
+    return np.where(x >= 0, r, e * r)
+
+
+def argmax_maxpool2(x, g):
+    """2x2 stride-2 max pooling of NCHW x through a copy of every window,
+    argmax and take_along_axis; returns the output and the input gradient
+    of output gradient g, routed to argmax's first maximal element."""
+    n, c, h, w = x.shape
+    win = (x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+           .reshape(n, c, h // 2, w // 2, 4))
+    idx = win.argmax(axis=-1)
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    gw = np.zeros_like(win)
+    np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
+    gx = (gw.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+          .reshape(n, c, h, w))
+    return out, gx
+
+
+def argmax_morph(x, mode, g):
+    """3x3 grey-scale dilation (argmax) or erosion (argmin) of NCHW x over
+    a ±inf-padded sliding window view; returns the output and the input
+    gradient of output gradient g, scattered with np.add.at."""
+    n, c, h, w = x.shape
+    fill = -np.inf if mode == "dilate" else np.inf
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=fill)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
+    win = win.reshape(n, c, h, w, 9)
+    idx = win.argmax(axis=-1) if mode == "dilate" else win.argmin(axis=-1)
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    gp = np.zeros((n, c, h + 2, w + 2), dtype=g.dtype)
+    nn, cc, ii, jj = np.ogrid[:n, :c, :h, :w]
+    np.add.at(gp, (nn, cc, ii + idx // 3, jj + idx % 3), g)
+    return out, gp[:, :, 1:-1, 1:-1]

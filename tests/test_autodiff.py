@@ -11,11 +11,12 @@ from mismatch.autodiff import (Tape, Tensor, add, backward, concat_channels,
                                relu, same_padding, scale, sigmoid,
                                stop_gradient, take_batch, upsample_bilinear2)
 from mismatch.errors import DimensionError, GraphError, ParameterError
+from mismatch.nets import morph_perturb
 from gradcheck import check_grads
-from oracles import (col2im_conv2d_input_grad, naive_conv2d, naive_maxpool2,
-                     naive_upsample_bilinear2, rel_err,
-                     scatter_upsample_bilinear2_backward, window_conv2d,
-                     window_conv2d_weight_grad)
+from oracles import (argmax_maxpool2, argmax_morph, col2im_conv2d_input_grad,
+                     naive_conv2d, naive_maxpool2, naive_upsample_bilinear2,
+                     rel_err, scatter_upsample_bilinear2_backward,
+                     where_sigmoid, window_conv2d, window_conv2d_weight_grad)
 
 
 def leaf(rng, *shape):
@@ -207,6 +208,96 @@ def test_maxpool2_example_and_tie_routing():
 def test_maxpool2_odd_size_rejected():
     with pytest.raises(DimensionError):
         maxpool2(Tensor(np.zeros((1, 1, 5, 4))))
+
+
+def _tie_maps(rng, dtype, shape=(2, 3, 8, 10)):
+    """Random maps and maps full of ties: constant, tied along each row,
+    few distinct values, and -0.0 against +0.0."""
+    n, c, h, w = shape
+    for x in (rng.standard_normal(shape), np.full(shape, 1.5),
+              np.repeat(rng.integers(0, 3, (n, c, h, 1)), w, axis=3),
+              rng.integers(-1, 2, shape),
+              rng.choice(np.array([0.0, -0.0]), shape)):
+        yield x.astype(dtype)
+
+
+def _window_ops():
+    """(name, op, oracle) for every window kernel: the op on a Tensor, the
+    oracle on an array and an output gradient, returning (out, grad)."""
+    yield "maxpool2", maxpool2, argmax_maxpool2
+    for mode in ("dilate", "erode"):
+        yield (mode, lambda x, m=mode: morph_perturb(x, m),
+               lambda x, g, m=mode: argmax_morph(x, m, g))
+
+
+def _value_and_grad(op, x, g):
+    """op's output on array x and its input gradient for output grad g."""
+    t = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = op(t)
+    (gx,) = tape.nodes[-1].backward_fn(g)
+    return out.data, gx
+
+
+def _same_bits(a, b):
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_window_kernels_match_argmax_oracles_bitwise(dtype):
+    # value and routing, ties included: a unit gradient reaches exactly the
+    # element argmax/argmin picks, and the output keeps that element's bits
+    rng = np.random.default_rng(17)
+    for x in _tie_maps(rng, dtype):
+        for name, op, oracle in _window_ops():
+            g = np.ones(op(Tensor(x)).shape, dtype)
+            got, gx = _value_and_grad(op, x, g)
+            want, want_gx = oracle(x, g)
+            assert _same_bits(got, want), name
+            assert _same_bits(gx, want_gx), name
+
+
+def test_morph_backward_matches_scatter_add():
+    # float64 gradients against np.add.at's accumulation; the slice-adds run
+    # last tap first, which sums in np.add.at's order, so even the rounding
+    # agrees
+    rng = np.random.default_rng(18)
+    for x in _tie_maps(rng, np.float64):
+        for mode in ("dilate", "erode"):
+            g = rng.standard_normal(x.shape)
+            _, gx = _value_and_grad(lambda t: morph_perturb(t, mode), x, g)
+            _, want = argmax_morph(x, mode, g)
+            assert rel_err(gx, want) < 1e-12
+            assert _same_bits(gx, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_where_oracle_bitwise(dtype):
+    rng = np.random.default_rng(19)
+    for x in list(_tie_maps(rng, dtype)) + [
+            np.array([-1e4, -1e2, -1.0, -0.0, 0.0, 1.0, 1e2, 1e4]),
+            rng.uniform(-1e4, 1e4, 256)]:
+        x = x.astype(dtype)
+        with np.errstate(over="raise", invalid="raise"):
+            got = sigmoid(Tensor(x)).data
+        assert _same_bits(got, where_sigmoid(x))
+
+
+def test_value_only_relu_and_maxpool_keep_only_their_output():
+    # no tape: relu builds no mask and maxpool2 copies no window, so all
+    # they allocate is their output
+    x = Tensor(np.random.default_rng(20).standard_normal(
+        (16, 8, 64, 64)).astype(np.float32))
+    slack = 1 << 18  # ufunc buffers for the strided taps
+    for op, shrink in ((relu, 1), (maxpool2, 4)):
+        tracemalloc.start()
+        try:
+            out = op(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes == x.data.nbytes // shrink
+        assert peak < out.data.nbytes + slack, (op.__name__, peak)
 
 
 def test_upsample_matches_naive_oracle_bitwise():

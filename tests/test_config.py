@@ -3,12 +3,14 @@ rejected value leaves with one MM-ERR: line and a documented exit code,
 before any output file is written."""
 
 import os
+import shutil
 import struct
 
+import numpy as np
 import pytest
 
 from mismatch.cli import DEFAULT_CONFIG, main
-from mismatch.data import TENSOR_MAGIC
+from mismatch.data import TENSOR_MAGIC, read_tensor, write_tensor
 from mismatch.nets import init_params
 from mismatch.training import CHECKPOINT_MAGIC, save_checkpoint
 
@@ -80,6 +82,51 @@ def test_eval_rejects_malformed_checkpoint_echo(dataset, tmp_path, capsys,
     assert rc == 3
     _one_error_line(capsys)
     assert not list(tmp_path.rglob("per_image.csv"))
+
+
+def _poisoned(dataset, tmp_path, where, value):
+    """Paths (checkpoint, manifest) with `value` written into one
+    parameter ("param"), every parameter ("params"), or the first element
+    of the first case's "image" or "mask"."""
+    model = init_params("Sup1", channels=1, seed=0)
+    if where == "params":
+        model.flat.data[:] = value
+    elif where == "param":
+        model.params["enc1.main2.w"].data[0, 1] = value
+    ckpt = str(tmp_path / "m.ckpt")
+    save_checkpoint(ckpt, model, SUP1_ECHO)
+    data = tmp_path / "data"
+    shutil.copytree(os.path.dirname(dataset), data)
+    image = (data / "manifest.txt").read_text().split()[0]
+    if where in ("image", "mask"):
+        path = data / image.replace(".image.", f".{where}.")
+        arr = read_tensor(path)
+        arr.flat[0] = value
+        write_tensor(path, arr)
+    return ckpt, str(data / "manifest.txt")
+
+
+@pytest.mark.parametrize("command,where,value,rc", [
+    ("eval", "param", np.nan, 3),
+    ("eval", "param", -np.inf, 3),
+    ("calibrate", "param", np.inf, 3),
+    ("eval", "image", np.nan, 3),
+    ("eval", "image", np.inf, 3),
+    ("calibrate", "image", np.nan, 3),
+    ("eval", "mask", 0.5, 3),
+    ("eval", "mask", 2.0, 3),
+    ("eval", "mask", np.nan, 3),
+    # finite parameters whose forward overflows to non-finite probabilities
+    ("eval", "params", 1e30, 4),
+    ("calibrate", "params", 1e30, 4),
+])
+def test_commands_reject_non_finite_values(dataset, tmp_path, capsys, command,
+                                           where, value, rc):
+    ckpt, manifest = _poisoned(dataset, tmp_path, where, value)
+    assert main([command, "--checkpoint", ckpt, "--data", manifest,
+                 "--out", str(tmp_path / "out")]) == rc
+    _one_error_line(capsys)
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_sweep_rejects_non_finite_alpha(dataset, tmp_path, capsys):

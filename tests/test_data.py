@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from mismatch.data import (AugmentConfig, Case, CaseSet, SliceStream,
-                           casewise_normalize, crop_corners,
-                           filter_foreground, gen_caseset, gen_synthetic_case,
-                           load_caseset, make_streams, read_tensor,
-                           save_caseset, split_counts, write_tensor)
-from mismatch.errors import (ConfigError, DimensionError, FormatError,
-                             ParameterError)
+                           casewise_normalize, filter_foreground,
+                           gen_caseset, gen_synthetic_case, load_caseset,
+                           make_streams, read_tensor, save_caseset,
+                           split_counts, write_tensor)
+from mismatch.errors import ConfigError, FormatError, ParameterError
 
 
 # ---------------------------------------------------------------------------
@@ -74,19 +73,6 @@ def test_casewise_normalize_constant_channel_maps_to_zero():
                 labelled=True)
     out = casewise_normalize(case)
     np.testing.assert_array_equal(out.image, np.zeros_like(case.image))
-
-
-def test_crop_corners_contents():
-    slice_chw = np.arange(2 * 6 * 6, dtype=float).reshape(2, 6, 6)
-    tl, tr, bl, br = crop_corners(slice_chw, 4)
-    np.testing.assert_array_equal(tl, slice_chw[:, :4, :4])
-    np.testing.assert_array_equal(tr, slice_chw[:, :4, 2:])
-    np.testing.assert_array_equal(bl, slice_chw[:, 2:, :4])
-    np.testing.assert_array_equal(br, slice_chw[:, 2:, 2:])
-    with pytest.raises(ParameterError):
-        crop_corners(slice_chw, 7)
-    with pytest.raises(DimensionError):
-        crop_corners(slice_chw[0], 2)
 
 
 def test_filter_foreground_is_strict():

@@ -17,7 +17,7 @@ from mismatch.data import (SPLIT_NAMES, TENSOR_MAGIC, CaseSet, gen_caseset,
 from mismatch.errors import ConfigError, FormatError
 from mismatch.metrics import (MetricsRow, emit_metrics_csv, fmt_float,
                               read_metrics_csv)
-from mismatch.nets import Model, init_params
+from mismatch.nets import Model, clone_params, init_params
 from mismatch.training import echo_value, load_model, save_checkpoint
 
 VALID_ECHO = {"model.variant": "Sup1", "model.channels": "1",
@@ -58,14 +58,27 @@ def scratch():
         yield d
 
 
+# a non-finite value written over one parameter, or none
+poison = st.none() | st.tuples(
+    st.integers(0, MODEL.flat.data.size - 1),
+    st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
 @FUZZ
-@given(echo=echoes, damage=damage)
+@given(echo=echoes, damage=damage, poison=poison)
 @example(echo={**VALID_ECHO, "model.channels": "1" * 5000},
-         damage=(None, []))
-@example(echo=VALID_ECHO, damage=(None, []))
-def test_load_model_returns_model_or_format_error(scratch, echo, damage):
+         damage=(None, []), poison=None)
+@example(echo=VALID_ECHO, damage=(None, []), poison=None)
+@example(echo=VALID_ECHO, damage=(None, []), poison=(0, np.nan))
+@example(echo=VALID_ECHO, damage=(None, []), poison=(7, -np.inf))
+def test_load_model_returns_model_or_format_error(scratch, echo, damage,
+                                                  poison):
     ckpt_path = os.path.join(scratch, "fuzz.ckpt")
-    save_checkpoint(ckpt_path, MODEL, echo)
+    model = MODEL
+    if poison is not None:
+        model = clone_params(MODEL)
+        model.flat.data[poison[0]] = poison[1]
+    save_checkpoint(ckpt_path, model, echo)
     _damage(ckpt_path, damage)
     try:
         model, loaded = load_model(ckpt_path)
@@ -74,6 +87,7 @@ def test_load_model_returns_model_or_format_error(scratch, echo, damage):
     except (FormatError, ConfigError):
         return
     assert isinstance(model, Model)
+    assert np.isfinite(model.flat.data).all()
 
 
 @FUZZ
@@ -107,6 +121,13 @@ def case_dir(scratch):
                                  ("odd", (1, 1, 4, 4), (2, 1, 4, 4))]:
         write_tensor(os.path.join(d, f"{case_id}.image.mmt"), np.zeros(image))
         write_tensor(os.path.join(d, f"{case_id}.mask.mmt"), np.zeros(mask))
+    # well-shaped pairs with a NaN, an inf or a mask value outside {0, 1}
+    for case_id, image, mask in [("nan", np.nan, 0.0), ("inf", -np.inf, 1.0),
+                                 ("grey", 0.0, 0.5), ("nanmask", 0.0, np.nan)]:
+        write_tensor(os.path.join(d, f"{case_id}.image.mmt"),
+                     np.full((1, 1, 4, 4), image))
+        write_tensor(os.path.join(d, f"{case_id}.mask.mmt"),
+                     np.full((1, 1, 4, 4), mask))
     return d
 
 
@@ -115,7 +136,9 @@ def case_dir(scratch):
 lines = st.tuples(
     st.sampled_from(["case_0000.image.mmt", "case_0001.image.mmt",
                      "flat.image.mmt", "odd.image.mmt", "gone.image.mmt",
-                     "case_0000.mask.mmt", "../cases/case_0002.image.mmt"]),
+                     "nan.image.mmt", "inf.image.mmt", "grey.image.mmt",
+                     "nanmask.image.mmt", "case_0000.mask.mmt",
+                     "../cases/case_0002.image.mmt"]),
     st.sampled_from(["0", "1", "2"]),
     st.sampled_from(SPLIT_NAMES + ("holdout",))).map(" ".join).map(str.encode)
 junk = st.none() | text.map(str.encode) | st.binary(max_size=12)
@@ -134,6 +157,9 @@ def test_load_caseset_returns_caseset_or_error(case_dir, manifest, junk, at):
     except (FormatError, ConfigError):
         return
     assert isinstance(caseset, CaseSet)
+    for case in caseset.cases:
+        assert np.isfinite(case.image).all()
+        assert ((case.mask == 0) | (case.mask == 1)).all()
 
 
 @FUZZ

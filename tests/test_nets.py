@@ -7,11 +7,12 @@ import mismatch.nets as nets
 from mismatch.autodiff import Tape, Tensor, backward, mse, sigmoid
 from mismatch.errors import (ConfigError, ContractError, DimensionError,
                              ParameterError)
-from mismatch.nets import (PASB_SIDE_DILATION, VARIANTS, _draw, _stage, bind,
-                           clone_params, decoder_forward, decoder_param_names,
-                           encoder_forward, init_params, mismatch_forward,
-                           model_forward, morph_perturb, named_params, nasb,
-                           param_layout, pasb, standard_block)
+from mismatch.nets import (PASB_SIDE_DILATION, VARIANTS, _draw, _stage,
+                           average_prediction, bind, clone_params,
+                           decoder_forward, decoder_param_names,
+                           encoder_forward, init_params, model_forward,
+                           morph_perturb, named_params, nasb, param_layout,
+                           pasb, standard_block)
 from mismatch.training import average_checkpoints, load_model, save_checkpoint
 from gradcheck import check_grads
 from oracles import naive_morph
@@ -214,14 +215,17 @@ def test_joint_batch_forward_matches_separate_forwards():
             assert diff < 1e-12, (head, half, diff)
 
 
-def test_mismatch_forward_averages_heads():
+def test_average_prediction_averages_heads():
     rng = np.random.default_rng(52)
     model = init_params("MM", channels=2, seed=1, dtype=np.float64)
-    p1, p2, avg = mismatch_forward(_rand_image(rng, (1, 1, 16, 16)), model)
+    p1, p2 = model_forward(model, _rand_image(rng, (1, 1, 16, 16)))
+    avg = average_prediction([p1, p2])
     np.testing.assert_array_equal(avg.data, 0.5 * (p1.data + p2.data))
     single = init_params("Sup1", channels=2, seed=1, dtype=np.float64)
+    probs = model_forward(single, _rand_image(rng, (1, 1, 16, 16)))
+    assert average_prediction(probs) is probs[0]
     with pytest.raises(ContractError):
-        mismatch_forward(_rand_image(rng, (1, 1, 16, 16)), single)
+        average_prediction([p1, p2, p1])
 
 
 def _side_dilations(monkeypatch, model, index):
@@ -373,7 +377,7 @@ def test_grad_flows_to_every_parameter():
     x = _rand_image(rng, (1, 1, 8, 8))
     r = Tensor(rng.standard_normal((1, 1, 8, 8)))
     with Tape():
-        _, _, avg = mismatch_forward(x, model)
+        avg = average_prediction(model_forward(model, x))
         backward(mse(avg, r))
     for name, t in named_params(model):
         assert np.any(t.grad != 0), f"no gradient reached {name}"
