@@ -83,7 +83,7 @@ class Tensor:
     routed through transient storage during backward.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "tape", "tape_id")
+    __slots__ = ("data", "grad", "requires_grad", "tape")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -93,7 +93,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(arr) if requires_grad else None
         self.tape: Tape | None = None
-        self.tape_id: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -132,7 +131,6 @@ def record_op(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     if _records(tape, inputs):
         out.requires_grad = True
         out.tape = tape
-        out.tape_id = len(tape.nodes)
         tape.nodes.append(_Node(op, tuple(inputs), out, backward_fn))
     return out
 
@@ -382,15 +380,16 @@ def _upsample_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(gx, -1, axis)
 
 
-def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-                  eps: float = 1e-5) -> Tensor:
+# added to each (sample, channel) variance before its square root
+_NORM_EPS = 1e-5
+
+
+def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-(sample, channel) normalisation over the spatial extent.
 
     Chosen over batch statistics because training runs at batch size 1.
     A 1x1 spatial extent has zero variance and collapses to beta.
     """
-    if eps <= 0:
-        raise ParameterError("instance_norm: eps must be positive")
     if x.data.ndim != 4:
         raise DimensionError("instance_norm expects NCHW input")
     n, c, h, w = x.shape
@@ -403,7 +402,7 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     xhat = x.data.reshape(n, c, size)
     xhat = xhat - xhat.mean(axis=-1, keepdims=True)
     var = np.einsum("ncl,ncl->nc", xhat, xhat)[:, :, None] / size
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _NORM_EPS)
     xhat *= inv
     out = xhat * gamma.data[:, None]
     out += beta.data[:, None]

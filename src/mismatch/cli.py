@@ -43,16 +43,20 @@ def parse_config_file(path) -> dict[str, str]:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     out: dict[str, str] = {}
-    with open(path) as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{ln}: expected key=value, got "
-                                  f"{line!r}")
-            out[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as f:
+            for ln, line in enumerate(f, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise ConfigError(f"{path}:{ln}: expected key=value, got "
+                                      f"{line!r}")
+                out[key.strip()] = value.strip()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {path} is not valid UTF-8: "
+                          f"{e.reason} at byte {e.start}") from None
     return out
 
 
@@ -131,6 +135,7 @@ def run_training(variant: str, cfg: dict[str, str], manifest, out_dir):
 
 
 def _head_names(model) -> list[str]:
+    """The heads calibrate reports; the last is the one eval scores."""
     return ["p"] if len(model.decoders) == 1 else ["p1", "p2", "avg"]
 
 
@@ -158,7 +163,7 @@ def evaluate_split(model, caseset: CaseSet, split: str, m_bins: int = 10):
 
     Returns (per_slice rows, mean_iou, std_iou, pooled_ece).
     """
-    eval_head = "avg" if len(model.decoders) == 2 else "p"
+    eval_head = _head_names(model)[-1]
     rows = []
     pooled_p, pooled_g = [], []
     for case in caseset.cases_in(split):
@@ -328,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
                 description="Semi-supervised segmentation experiments")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-data", parents=[], help="generate a synthetic "
-                       "case set and manifest")
+    g = sub.add_parser("gen-data", help="generate a synthetic case set and "
+                       "manifest")
     g.add_argument("--kind", choices=("tubes", "blobs"), required=True)
     g.add_argument("--cases", type=int, default=10)
     g.add_argument("--slices", type=int, default=8)
@@ -387,6 +392,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "bins", 1) < 1:  # refused before any command works
+            raise ParameterError(f"--bins must be >= 1, got {args.bins}")
         return args.func(args)
     except ParameterError as e:
         print(f"MM-ERR: {e}", file=sys.stderr)

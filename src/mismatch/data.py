@@ -172,19 +172,18 @@ class SliceStream:
 
     The pool order is reshuffled from the stream's own generator at every
     wrap, so an epoch's worth of batches covers each slice exactly once
-    and independent streams never share randomness.
+    and independent streams never share randomness. Batches are float32,
+    the training dtype.
     """
 
     def __init__(self, items: list[tuple[np.ndarray, np.ndarray | None]],
-                 batch_size: int, rng, augment: AugmentConfig | None = None,
-                 dtype=np.float32):
+                 batch_size: int, rng, augment: AugmentConfig | None = None):
         if batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         self._items = items
         self._batch = batch_size
         self._rng = rng
         self._augment = augment
-        self._dtype = dtype
         self._order: list[int] = []
         self._pos = 0
 
@@ -209,8 +208,8 @@ class SliceStream:
         has_mask = self._items[0][1] is not None
         for _ in range(self._batch):
             img, msk = self._items[self._next_index()]
-            img = img.astype(self._dtype)
-            msk = None if msk is None else msk.astype(self._dtype)
+            img = img.astype(np.float32)
+            msk = None if msk is None else msk.astype(np.float32)
             if self._augment is not None:
                 img, msk = self._apply_augment(img, msk)
             imgs.append(img)
@@ -226,20 +225,19 @@ class SliceStream:
                 msk = msk[:, :, ::-1].copy()
         if self._augment.noise_sigma > 0:
             img = img + self._rng.normal(
-                0.0, self._augment.noise_sigma, img.shape).astype(self._dtype)
+                0.0, self._augment.noise_sigma, img.shape).astype(np.float32)
         return img, msk
 
 
 def make_streams(caseset: CaseSet, labelled_slices: int, seed: int,
                  batch_size: int = 1,
-                 labelled_augment: AugmentConfig | None = None,
-                 unlabelled_augment: AugmentConfig | None = None,
-                 dtype=np.float32):
+                 labelled_augment: AugmentConfig | None = None):
     """Build the labelled and unlabelled training streams.
 
     The labelled pool is a fixed budget of labelled_slices foreground
     slices drawn deterministically (without replacement) from the
-    labelled_train cases; masks of unlabelled_train cases are never read.
+    labelled_train cases, augmented by labelled_augment; unlabelled slices
+    are never augmented, and masks of unlabelled_train cases never read.
     Returns (labelled_stream, unlabelled_stream); the unlabelled stream is
     None when the split is absent or empty. A batch_size larger than
     either pool is rejected: such a batch could only repeat slices.
@@ -261,7 +259,7 @@ def make_streams(caseset: CaseSet, labelled_slices: int, seed: int,
     labelled_items = [pool[i] for i in chosen]
     labelled = SliceStream(labelled_items, batch_size,
                            np.random.default_rng(np.random.SeedSequence([seed, 1])),
-                           augment=labelled_augment, dtype=dtype)
+                           augment=labelled_augment)
 
     unlabelled = None
     if "unlabelled_train" in caseset.split and caseset.split["unlabelled_train"]:
@@ -272,8 +270,7 @@ def make_streams(caseset: CaseSet, labelled_slices: int, seed: int,
             raise ConfigError(f"batch_size {batch_size} exceeds the "
                               f"unlabelled pool of {len(items)} slices")
         unlabelled = SliceStream(items, batch_size,
-                                 np.random.default_rng(np.random.SeedSequence([seed, 2])),
-                                 augment=unlabelled_augment, dtype=dtype)
+                                 np.random.default_rng(np.random.SeedSequence([seed, 2])))
     return labelled, unlabelled
 
 
@@ -442,6 +439,9 @@ def load_caseset(manifest_path) -> CaseSet:
                     or mask.shape != (image.shape[0], 1) + image.shape[2:]):
                 raise FormatError(f"manifest line {ln}: image {image.shape} "
                                   f"and mask {mask.shape} disagree")
+            if 0 in image.shape:
+                raise FormatError(f"manifest line {ln}: image {image.shape} "
+                                  f"has an empty dimension")
             if not np.isfinite(image).all():
                 raise FormatError(f"manifest line {ln}: image holds "
                                   f"non-finite values")

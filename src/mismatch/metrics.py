@@ -27,11 +27,9 @@ def fmt_float(v: float) -> str:
     return f"{float(v):.10g}"
 
 
-def binarize(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Foreground decision p >= threshold; ties go to foreground."""
-    if not 0.0 < threshold < 1.0:
-        raise ParameterError(f"threshold must be in (0, 1), got {threshold}")
-    return np.asarray(probs) >= threshold
+def binarize(probs: np.ndarray) -> np.ndarray:
+    """The foreground rule p >= 0.5; ties go to foreground."""
+    return np.asarray(probs) >= 0.5
 
 
 def iou(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -57,18 +55,14 @@ class ReliabilityBins:
     confidence: np.ndarray  # (m,) mean confidence, 0.0 for empty bins
 
     @property
-    def m(self) -> int:
-        return len(self.counts)
-
-    @property
     def n(self) -> int:
         return int(self.counts.sum())
 
 
 def reliability_bins(probs: np.ndarray, gt: np.ndarray, m_bins: int = 10,
-                     confidence: str = "max",
-                     threshold: float = 0.5) -> ReliabilityBins:
-    """Bucket pixels into equal-width confidence bins.
+                     confidence: str = "max") -> ReliabilityBins:
+    """Bucket pixels into equal-width confidence bins; a pixel is correct
+    when `binarize` agrees with its ground truth.
 
     confidence="max" uses max(p, 1-p) over [0.5, 1.0] (the prediction's
     own confidence); confidence="raw" uses the foreground probability over
@@ -84,8 +78,7 @@ def reliability_bins(probs: np.ndarray, gt: np.ndarray, m_bins: int = 10,
     g = np.asarray(gt, dtype=np.float64).ravel()
     if p.shape != g.shape:
         raise DimensionError(f"reliability_bins: {p.shape} vs {g.shape}")
-    pred = p >= threshold
-    correct = (pred == (g != 0)).astype(np.float64)
+    correct = (binarize(p) == (g != 0)).astype(np.float64)
     if confidence == "max":
         conf = np.maximum(p, 1.0 - p)
         lo = 0.5

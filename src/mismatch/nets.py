@@ -100,8 +100,7 @@ def morph_perturb(x: Tensor, mode: str) -> Tensor:
 
 
 def standard_block(x: Tensor, params, prefix: str,
-                   morph_mode: str | None = None,
-                   capture: dict | None = None) -> Tensor:
+                   morph_mode: str | None = None) -> Tensor:
     """Two conv/relu/norm stages. With morph_mode set, each stage output is
     morphologically perturbed (two morph_perturb calls per block)."""
     _check_side_branch(params, prefix, "standard_block", wanted=False)
@@ -111,8 +110,6 @@ def standard_block(x: Tensor, params, prefix: str,
     out = _stage(h, params, f"{prefix}.main2")
     if morph_mode is not None:
         out = morph_perturb(out, morph_mode)
-    if capture is not None:
-        capture["m"] = out
     return out
 
 

@@ -161,42 +161,42 @@ def alpha_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
 # ---------------------------------------------------------------------------
 # optimiser
 
+# Adam's moment decay rates and the denominator's floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    """The step count and both moment estimates, shaped like the flat
+    parameter buffer."""
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, named: list[tuple[str, Tensor]], **kw) -> "AdamState":
-        state = cls(**kw)
-        for name, t in named:
-            state.m[name] = np.zeros_like(t.data)
-            state.v[name] = np.zeros_like(t.data)
-        return state
+    def for_params(cls, flat: Tensor) -> "AdamState":
+        return cls(np.zeros_like(flat.data), np.zeros_like(flat.data))
 
 
-def adam_step(named: list[tuple[str, Tensor]], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, in place on the parameter tensors."""
+def adam_step(flat: Tensor, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of flat.data from flat.grad, in
+    place. Every op is elementwise, so one update over the whole buffer
+    equals a per-parameter loop bitwise."""
+    g = flat.grad
+    if g is None:
+        raise ContractError("adam_step: the tensor has no gradient buffer")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    for name, tensor in named:
-        g = grads.get(name)
-        if g is None:
-            raise ContractError(f"adam_step: no gradient supplied for {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        tensor.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    flat.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def zero_grads(named: list[tuple[str, Tensor]]) -> None:
@@ -276,8 +276,7 @@ def train(config: TrainConfig, model: Model, labelled_stream,
     steps_per_epoch = (unlabelled_stream.epoch_len if unlabelled_stream
                        else labelled_stream.epoch_len)
     total_steps = steps_per_epoch * config.epochs
-    named = [("params", model.flat)]
-    state = AdamState.for_params(named)
+    state = AdamState.for_params(model.flat)
     snapshots: deque[Model] = deque(maxlen=config.save_last_k)
     history: list[HistoryRow] = []
 
@@ -333,8 +332,8 @@ def train(config: TrainConfig, model: Model, labelled_stream,
             if not np.isfinite(model.flat.grad).all():
                 raise NumericalAbort(f"non-finite gradient at step {step}",
                                      step=step)
-            adam_step(named, {"params": model.flat.grad}, state, config.lr)
-            zero_grads(named)
+            adam_step(model.flat, state, config.lr)
+            zero_grads([("params", model.flat)])
             history.append(HistoryRow(step, epoch, d1.item(), d2_val,
                                       cons_val, a, total_val))
             step += 1
@@ -404,7 +403,7 @@ def echo_value(echo: dict[str, str], key: str):
         raise FormatError(f"checkpoint echo: {e}") from None
 
 
-def load_model(path, dtype=np.float32) -> tuple[Model, dict[str, str]]:
+def load_model(path) -> tuple[Model, dict[str, str]]:
     """Rebuild a model from a checkpoint; the echo must carry the variant,
     channel width and input channel count under model.* keys."""
     arrays, echo = load_checkpoint(path)
@@ -421,7 +420,7 @@ def load_model(path, dtype=np.float32) -> tuple[Model, dict[str, str]]:
             raise FormatError(f"checkpoint parameter {name} holds non-finite "
                               f"values")
     return bind(kinds, shapes, np.concatenate(
-        [a.ravel() for a in arrays.values()], dtype=dtype),
+        [a.ravel() for a in arrays.values()], dtype=np.float32),
         trainable=False), echo
 
 

@@ -289,3 +289,22 @@ def argmax_morph(x, mode, g):
     nn, cc, ii, jj = np.ogrid[:n, :c, :h, :w]
     np.add.at(gp, (nn, cc, ii + idx // 3, jj + idx % 3), g)
     return out, gp[:, :, 1:-1, 1:-1]
+
+
+def per_name_adam_step(named, grads, state, lr, beta1=0.9, beta2=0.999,
+                       eps=1e-8):
+    """Bias-corrected Adam as a loop over named tensors, each with its own
+    moments in the dicts state["m"] and state["v"] (created as zeros on
+    first use); state["step"] counts the updates."""
+    state["step"] = t = state.get("step", 0) + 1
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, tensor in named:
+        g = grads[name]
+        m = state.setdefault("m", {}).setdefault(name, np.zeros_like(g))
+        v = state.setdefault("v", {}).setdefault(name, np.zeros_like(g))
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        tensor.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)

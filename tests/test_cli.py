@@ -326,7 +326,7 @@ def test_calibrate_emits_per_head_diagrams(trained_mm, dataset, tmp_path):
     assert rc == 0
     for head in ("p1", "p2", "avg"):
         pooled = read_reliability_csv(out / f"reliability_pooled_{head}.csv")
-        assert pooled.m == 10
+        assert len(pooled.counts) == 10
         assert pooled.n == 2 * 8 * 8
     rows = _read_csv_rows(out / "calibration.csv")
     assert rows[0]["scope"] == "pooled"  # pooled rows lead the summary

@@ -173,13 +173,60 @@ def test_readers_reject_oversized_dims(dataset, tmp_path, capsys, dims):
     (["gen-data", "--kind", "tubes", "--noise-sigma", "inf"], "manifest.txt"),
     (["gen-data", "--kind", "tubes", "--noise-sigma", "nan"], "manifest.txt"),
     (["calibrate", "--bins", "0"], "calibration.csv"),
+    (["eval", "--bins", "0"], "per_image.csv"),
+    (["sweep-alpha", "--bins", "0"], "history.csv"),
 ])
-def test_commands_reject_malformed_arguments(dataset, tmp_path, capsys, argv,
-                                             output):
-    if argv[0] == "calibrate":
+def test_commands_reject_malformed_arguments(dataset, tmp_path, monkeypatch,
+                                             capsys, argv, output):
+    import mismatch.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the arguments were checked")
+
+    for name in ("train", "_case_probs"):
+        monkeypatch.setattr(cli, name, never)
+    if argv[0] in ("eval", "calibrate"):
         argv = argv + ["--data", dataset, "--checkpoint",
                        _checkpoint(tmp_path / "m.ckpt", SUP1_ECHO)]
+    elif argv[0] == "sweep-alpha":
+        argv = argv + ["--data", dataset] + SMALL
     rc = main(argv + ["--out", str(tmp_path / "out")])
     assert rc == 2
     _one_error_line(capsys)
     assert not list(tmp_path.rglob(output))
+    assert not (tmp_path / "out").exists()
+
+
+def _empty_case(dataset, tmp_path):
+    """A copy of the data set whose test case holds zero slices."""
+    data = tmp_path / "data"
+    shutil.copytree(os.path.dirname(dataset), data)
+    image = (data / "manifest.txt").read_text().split()[-3]
+    for suffix in (".image.", ".mask."):
+        write_tensor(data / image.replace(".image.", suffix),
+                     np.zeros((0, 1, 8, 8)))
+    return str(data / "manifest.txt")
+
+
+@pytest.mark.parametrize("command,flaw", [
+    ("train", "config not UTF-8"),
+    ("train", "zero slices"),
+    ("eval", "zero slices"),
+    ("calibrate", "zero slices"),
+])
+def test_commands_reject_malformed_files(dataset, tmp_path, capsys, command,
+                                         flaw):
+    argv = [command, "--out", str(tmp_path / "out")]
+    if flaw == "config not UTF-8":
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"model.channels=2\n\xff=1\n")
+        argv += ["--data", dataset, "--config", str(config)]
+    else:
+        argv += ["--data", _empty_case(dataset, tmp_path)]
+    if command == "train":
+        argv += ["--variant", "Sup1"] + SMALL
+    else:
+        argv += ["--checkpoint", _checkpoint(tmp_path / "m.ckpt", SUP1_ECHO)]
+    assert main(argv) == 3
+    _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()

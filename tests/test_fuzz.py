@@ -1,6 +1,8 @@
 """Property tests of the file readers on arbitrary values and damaged
 files. Needs `hypothesis`; without it only this module is lost."""
 
+import contextlib
+import io
 import os
 import struct
 import tempfile
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mismatch.cli import DEFAULT_CONFIG
+from mismatch.cli import DEFAULT_CONFIG, main
 from mismatch.data import (SPLIT_NAMES, TENSOR_MAGIC, CaseSet, gen_caseset,
                            load_caseset, read_tensor, save_caseset,
                            write_tensor)
@@ -118,7 +120,8 @@ def case_dir(scratch):
     d = os.path.join(scratch, "cases")
     save_caseset(d, gen_caseset(0, "tubes", 4, 1, 8, 0.0))
     for case_id, image, mask in [("flat", (3,), (3,)),
-                                 ("odd", (1, 1, 4, 4), (2, 1, 4, 4))]:
+                                 ("odd", (1, 1, 4, 4), (2, 1, 4, 4)),
+                                 ("empty", (0, 1, 4, 4), (0, 1, 4, 4))]:
         write_tensor(os.path.join(d, f"{case_id}.image.mmt"), np.zeros(image))
         write_tensor(os.path.join(d, f"{case_id}.mask.mmt"), np.zeros(mask))
     # well-shaped pairs with a NaN, an inf or a mask value outside {0, 1}
@@ -137,7 +140,8 @@ lines = st.tuples(
     st.sampled_from(["case_0000.image.mmt", "case_0001.image.mmt",
                      "flat.image.mmt", "odd.image.mmt", "gone.image.mmt",
                      "nan.image.mmt", "inf.image.mmt", "grey.image.mmt",
-                     "nanmask.image.mmt", "case_0000.mask.mmt",
+                     "nanmask.image.mmt", "empty.image.mmt",
+                     "case_0000.mask.mmt",
                      "../cases/case_0002.image.mmt"]),
     st.sampled_from(["0", "1", "2"]),
     st.sampled_from(SPLIT_NAMES + ("holdout",))).map(" ".join).map(str.encode)
@@ -146,6 +150,7 @@ junk = st.none() | text.map(str.encode) | st.binary(max_size=12)
 
 @FUZZ
 @given(manifest=st.lists(lines, max_size=4), junk=junk, at=st.integers(0, 4))
+@example(manifest=[b"empty.image.mmt 0 test"], junk=None, at=0)
 def test_load_caseset_returns_caseset_or_error(case_dir, manifest, junk, at):
     if junk is not None:
         manifest.insert(at, junk)
@@ -158,6 +163,7 @@ def test_load_caseset_returns_caseset_or_error(case_dir, manifest, junk, at):
         return
     assert isinstance(caseset, CaseSet)
     for case in caseset.cases:
+        assert case.image.size > 0
         assert np.isfinite(case.image).all()
         assert ((case.mask == 0) | (case.mask == 1)).all()
 
@@ -174,3 +180,40 @@ def test_metrics_csv_round_trips_any_text(scratch, experiment, model, seed,
             MetricsRow(model, 0, experiment, ece, iou)]
     emit_metrics_csv(rows, path, header_comments=("experiment=x",))
     assert read_metrics_csv(path) == rows
+
+
+# config files: arbitrary bytes, or key=value lines over the real keys (and
+# one unknown key) with arbitrary values, under each line ending or followed
+# by stray bytes
+config_lines = st.lists(st.tuples(
+    st.sampled_from(sorted(DEFAULT_CONFIG) + ["model.width"]),
+    st.one_of(text, st.sampled_from(sorted(DEFAULT_CONFIG.values()))),
+).map("=".join), max_size=4)
+config_blobs = st.one_of(
+    st.binary(max_size=40),
+    st.tuples(config_lines, st.sampled_from(["\n", "\r\n", "\r"])).map(
+        lambda t: t[1].join(t[0]).encode()),
+    st.tuples(config_lines, st.binary(max_size=4)).map(
+        lambda t: "\n".join(t[0]).encode() + t[1]))
+
+
+@FUZZ
+@given(blob=config_blobs)
+@example(blob=b"\xff")
+@example(blob=b"model.channels=2\n\xfe\xff")
+@example(blob=b"train.epochs=\xc3")
+def test_config_file_fails_with_one_error_line(scratch, blob):
+    # the manifest is missing, so even a valid config ends in exit 3
+    config = os.path.join(scratch, "fuzz.cfg")
+    with open(config, "wb") as f:
+        f.write(blob)
+    out = os.path.join(scratch, "fuzz-run")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["train", "--variant", "MM", "--config", config,
+                   "--data", os.path.join(scratch, "missing.txt"),
+                   "--out", out])
+    assert rc == 3
+    assert sum(ln.startswith("MM-ERR:")
+               for ln in err.getvalue().splitlines()) == 1
+    assert not os.path.exists(out)
