@@ -44,7 +44,7 @@ def parse_config_file(path) -> dict[str, str]:
         raise ConfigError(f"config file not found: {path}")
     out: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             for ln, line in enumerate(f, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -140,11 +140,21 @@ def _head_names(model) -> list[str]:
 
 
 def _case_probs(model, case) -> dict[str, np.ndarray]:
-    """Forward a whole case (slices as the batch axis); no tape is active,
-    so nothing is recorded. A finite checkpoint can still overflow on the
-    way: non-finite probabilities are a NumericalAbort, never a metric."""
+    """Forward a case in chunks of slices (the batch axis) whose base-width
+    float32 maps fit in 256 KiB, so each op's operands stay in cache. Every
+    op is per sample, so the chunks' probabilities are bitwise those of one
+    whole-case forward. No tape is active, so nothing is recorded. A finite
+    checkpoint can still overflow on the way: non-finite probabilities are
+    a NumericalAbort, never a metric."""
+    image = case.image.astype(np.float32)
+    n, _, h, w = image.shape
+    width = model.params["enc0.main1.w"].shape[0]
+    step = max(1, 256 * 1024 // (width * h * w * 4))
     with np.errstate(over="ignore", invalid="ignore"):
-        probs = model_forward(model, Tensor(case.image.astype(np.float32)))
+        chunks = [model_forward(model, Tensor(image[i:i + step]))
+                  for i in range(0, n, step)]
+    probs = [Tensor(np.concatenate([c[k].data for c in chunks]))
+             for k in range(len(chunks[0]))]
     if not all(np.isfinite(p.data).all() for p in probs):
         raise NumericalAbort(f"case {case.case_id}: the model's probabilities "
                              f"are not finite")
@@ -152,6 +162,14 @@ def _case_probs(model, case) -> dict[str, np.ndarray]:
         return {"p": probs[0].data}
     return {"p1": probs[0].data, "p2": probs[1].data,
             "avg": average_prediction(probs).data}
+
+
+def _split_cases(caseset: CaseSet, split: str) -> list:
+    """The cases of `split`; an unknown or empty split is a ConfigError."""
+    cases = caseset.cases_in(split)
+    if not cases:
+        raise ConfigError(f"split {split!r} is empty")
+    return cases
 
 
 def _slice_label(case, s: int) -> str:
@@ -166,7 +184,7 @@ def evaluate_split(model, caseset: CaseSet, split: str, m_bins: int = 10):
     eval_head = _head_names(model)[-1]
     rows = []
     pooled_p, pooled_g = [], []
-    for case in caseset.cases_in(split):
+    for case in _split_cases(caseset, split):
         probs = _case_probs(model, case)[eval_head]
         for s in range(case.image.shape[0]):
             p = probs[s, 0]
@@ -176,8 +194,6 @@ def evaluate_split(model, caseset: CaseSet, split: str, m_bins: int = 10):
             rows.append((_slice_label(case, s), slice_iou, slice_ece))
             pooled_p.append(p.ravel())
             pooled_g.append(g.ravel())
-    if not rows:
-        raise ConfigError(f"split {split!r} has no slices to evaluate")
     ious = np.array([r[1] for r in rows])
     pooled = reliability_bins(np.concatenate(pooled_p),
                               np.concatenate(pooled_g), m_bins)
@@ -210,6 +226,7 @@ def cmd_eval(args) -> int:
     model, echo = load_model(args.checkpoint)
     seed = echo_value({**DEFAULT_CONFIG, **echo}, "train.seed")
     caseset = _load_normalized(args.data)
+    _split_cases(caseset, args.split)  # a bad split leaves no --out behind
     os.makedirs(args.out, exist_ok=True)
     rows, mean_iou, std_iou, pooled_ece = evaluate_split(
         model, caseset, args.split, args.bins)
@@ -232,9 +249,7 @@ def cmd_eval(args) -> int:
 def cmd_calibrate(args) -> int:
     model, echo = load_model(args.checkpoint)
     caseset = _load_normalized(args.data)
-    cases = caseset.cases_in(args.split)
-    if not cases:
-        raise ConfigError(f"split {args.split!r} is empty")
+    cases = _split_cases(caseset, args.split)
     heads = _head_names(model)
     comments = echo_lines(echo)
     os.makedirs(args.out, exist_ok=True)

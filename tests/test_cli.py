@@ -7,10 +7,13 @@ import pytest
 
 import mismatch.cli as cli
 import mismatch.training as training
+from mismatch.autodiff import Tensor
 from mismatch.cli import main, merge_config, run_training
-from mismatch.data import load_caseset
+from mismatch.data import Case, load_caseset
+from mismatch.errors import NumericalAbort
 from mismatch.metrics import read_metrics_csv, read_reliability_csv
-from mismatch.training import load_model, read_history_csv
+from mismatch.nets import average_prediction, init_params, model_forward
+from mismatch.training import load_model, read_history_csv, save_checkpoint
 
 FAST = ["--set", "model.channels=2", "--set", "train.epochs=2",
         "--set", "train.save_last_k=2", "--set", "data.labelled_slices=2"]
@@ -254,6 +257,82 @@ def test_eval_is_byte_identical(trained_mm, dataset, tmp_path):
     for name in ("per_image.csv", "metrics.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+def _count_forwards(monkeypatch, poison_call=None):
+    """Wrap cli.model_forward; returns the list of batch sizes it ran.
+    Call number `poison_call` (1-based) gets a NaN in its last head."""
+    sizes = []
+    real = cli.model_forward
+
+    def counted(model, image):
+        sizes.append(image.shape[0])
+        probs = real(model, image)
+        if len(sizes) == poison_call:
+            probs[-1].data[-1, 0, 0, 0] = np.nan
+        return probs
+
+    monkeypatch.setattr(cli, "model_forward", counted)
+    return sizes
+
+
+def _case(n, size):
+    rng = np.random.default_rng(0)
+    return Case("c", rng.standard_normal((n, 1, size, size)),
+                np.zeros((n, 1, size, size)), labelled=False)
+
+
+@pytest.mark.parametrize("variant,width,n,size,sizes", [
+    ("MM", 8, 16, 64, [2] * 8),  # eval-calibrate's cases
+    ("MM", 8, 8, 32, [8]),       # the train workloads' test cases
+    ("Sup1", 24, 3, 64, [1] * 3),
+    ("Sup1", 8, 5, 64, [2, 2, 1]),
+])
+def test_case_probs_forwards_cache_sized_chunks(monkeypatch, variant, width,
+                                                n, size, sizes):
+    model = init_params(variant, channels=width, seed=1)
+    case = _case(n, size)
+    seen = _count_forwards(monkeypatch)
+    probs = cli._case_probs(model, case)
+    assert seen == sizes
+    whole = model_forward(model, Tensor(case.image.astype(np.float32)))
+    heads = [p.data for p in whole]
+    if len(whole) == 2:
+        heads.append(average_prediction(whole).data)
+    assert list(probs) == cli._head_names(model)
+    for got, want in zip(probs.values(), heads):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
+
+def test_case_probs_aborts_on_non_finite_last_chunk(monkeypatch):
+    model = init_params("MM", channels=8, seed=1)
+    seen = _count_forwards(monkeypatch, poison_call=3)
+    with pytest.raises(NumericalAbort, match="not finite"):
+        cli._case_probs(model, _case(6, 64))
+    assert seen == [2, 2, 2]
+
+
+@pytest.mark.parametrize("command", ["eval", "calibrate"])
+def test_non_finite_last_chunk_exits_before_any_file(tmp_path, monkeypatch,
+                                                     capsys, command):
+    data = tmp_path / "data"
+    assert main(["gen-data", "--kind", "blobs", "--cases", "4", "--slices",
+                 "4", "--size", "64", "--out", str(data)]) == 0
+    ckpt = tmp_path / "mm.ckpt"
+    save_checkpoint(ckpt, init_params("MM", channels=8, seed=1),
+                    {"model.variant": "MM", "model.channels": "8",
+                     "model.in_channels": "1", "train.seed": "0"})
+    seen = _count_forwards(monkeypatch, poison_call=2)
+    capsys.readouterr()
+    rc = main([command, "--checkpoint", str(ckpt),
+               "--data", str(data / "manifest.txt"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert seen == [2, 2]  # one test case of 4 slices: the NaN is in the last
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("MM-ERR:"), err
+    assert not list((tmp_path / "out").rglob("*"))
 
 
 def test_eval_missing_checkpoint(dataset, tmp_path, capsys):

@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from mismatch.cli import DEFAULT_CONFIG, main
+from mismatch.cli import DEFAULT_CONFIG, main, parse_config_file
 from mismatch.data import TENSOR_MAGIC, read_tensor, write_tensor
 from mismatch.nets import init_params
 from mismatch.training import CHECKPOINT_MAGIC, save_checkpoint
@@ -213,6 +213,8 @@ def _empty_case(dataset, tmp_path):
     ("train", "zero slices"),
     ("eval", "zero slices"),
     ("calibrate", "zero slices"),
+    ("eval", "unknown split"),
+    ("calibrate", "unknown split"),
 ])
 def test_commands_reject_malformed_files(dataset, tmp_path, capsys, command,
                                          flaw):
@@ -221,6 +223,8 @@ def test_commands_reject_malformed_files(dataset, tmp_path, capsys, command,
         config = tmp_path / "bad.cfg"
         config.write_bytes(b"model.channels=2\n\xff=1\n")
         argv += ["--data", dataset, "--config", str(config)]
+    elif flaw == "unknown split":
+        argv += ["--data", dataset, "--split", "bogus"]
     else:
         argv += ["--data", _empty_case(dataset, tmp_path)]
     if command == "train":
@@ -228,5 +232,23 @@ def test_commands_reject_malformed_files(dataset, tmp_path, capsys, command,
     else:
         argv += ["--checkpoint", _checkpoint(tmp_path / "m.ckpt", SUP1_ECHO)]
     assert main(argv) == 3
+    _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["model.channels=2\ntrain.seed=7\n",
+                                  "# widths\r\nmodel.channels=2\r\n"])
+def test_config_file_may_start_with_a_byte_order_mark(dataset, tmp_path,
+                                                      capsys, text):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert parse_config_file(marked) == parse_config_file(plain)
+    assert parse_config_file(marked)["model.channels"] == "2"
+
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode() + b"\xff=1\n")
+    assert main(["train", "--variant", "Sup1", "--data", dataset,
+                 "--config", str(marked), "--out", str(tmp_path / "out")]
+                + SMALL) == 3
     _one_error_line(capsys)
     assert not (tmp_path / "out").exists()

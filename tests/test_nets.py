@@ -200,8 +200,8 @@ def test_model_outputs_are_input_sized_probability_maps():
 
 def test_joint_batch_forward_matches_separate_forwards():
     # every norm is per sample, so stacking a labelled and an unlabelled
-    # image changes nothing but the GEMM summation order; float64 keeps
-    # that rounding far below the bound (float32 reaches ~3e-6)
+    # image can change at most the GEMM summation order; float64 keeps
+    # any such rounding far below the bound (float32 is bitwise, below)
     rng = np.random.default_rng(53)
     model = init_params("MM", channels=4, seed=2, dtype=np.float64)
     xa = rng.standard_normal((1, 1, 16, 16))
@@ -213,6 +213,22 @@ def test_joint_batch_forward_matches_separate_forwards():
             alone = model_forward(model, Tensor(x))[head].data
             diff = np.max(np.abs(pj.data[half:half + 1] - alone))
             assert diff < 1e-12, (head, half, diff)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_chunked_float32_forward_is_bitwise_the_whole_batch(variant):
+    # eval forwards a case in slice chunks and relies on this equality
+    rng = np.random.default_rng(54)
+    model = init_params(variant, channels=4, seed=3)
+    x = rng.standard_normal((5, 1, 16, 16)).astype(np.float32)
+    whole = [p.data for p in model_forward(model, Tensor(x))]
+    for step in (1, 2):
+        chunks = [model_forward(model, Tensor(x[i:i + step]))
+                  for i in range(0, len(x), step)]
+        for head, p in enumerate(whole):
+            assert p.dtype == np.float32
+            np.testing.assert_array_equal(
+                np.concatenate([c[head].data for c in chunks]), p)
 
 
 def test_average_prediction_averages_heads():
