@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from urllib.parse import quote
 
 import numpy as np
 
@@ -96,7 +97,8 @@ def _load_normalized(manifest) -> CaseSet:
 
 
 def run_training(variant: str, cfg: dict[str, str], manifest, out_dir):
-    """Train one arm and write final.ckpt, averaged.ckpt and history.csv."""
+    """Train one arm and write final.ckpt, averaged.ckpt and history.csv;
+    returns averaged.ckpt's path."""
     spec = nets.variant_spec(variant)
     tc = train_config_from(cfg)  # every key is checked, for every arm
     cfg = dict(cfg)
@@ -125,13 +127,9 @@ def run_training(variant: str, cfg: dict[str, str], manifest, out_dir):
     comments = echo_lines(cfg)
     write_history_csv(os.path.join(out_dir, "history.csv"), history, comments)
     save_checkpoint(os.path.join(out_dir, "final.ckpt"), final, cfg)
-    save_checkpoint(os.path.join(out_dir, "averaged.ckpt"), averaged, cfg)
-    return {
-        "final": os.path.join(out_dir, "final.ckpt"),
-        "averaged": os.path.join(out_dir, "averaged.ckpt"),
-        "history": os.path.join(out_dir, "history.csv"),
-        "config": cfg,
-    }
+    averaged_path = os.path.join(out_dir, "averaged.ckpt")
+    save_checkpoint(averaged_path, averaged, cfg)
+    return averaged_path
 
 
 def _head_names(model) -> list[str]:
@@ -158,10 +156,9 @@ def _case_probs(model, case) -> dict[str, np.ndarray]:
     if not all(np.isfinite(p.data).all() for p in probs):
         raise NumericalAbort(f"case {case.case_id}: the model's probabilities "
                              f"are not finite")
-    if len(probs) == 1:
-        return {"p": probs[0].data}
-    return {"p1": probs[0].data, "p2": probs[1].data,
-            "avg": average_prediction(probs).data}
+    if len(probs) > 1:
+        probs.append(average_prediction(probs))
+    return dict(zip(_head_names(model), (p.data for p in probs)))
 
 
 def _split_cases(caseset: CaseSet, split: str) -> list:
@@ -172,32 +169,37 @@ def _split_cases(caseset: CaseSet, split: str) -> list:
     return cases
 
 
-def _slice_label(case, s: int) -> str:
-    return f"{case.case_id}_s{s:03d}"
-
-
-def evaluate_split(model, caseset: CaseSet, split: str, m_bins: int = 10):
-    """Per-slice IoU/ECE on the averaged head plus pooled calibration.
-
-    Returns (per_slice rows, mean_iou, std_iou, pooled_ece).
-    """
-    eval_head = _head_names(model)[-1]
+def _score(model, cases, heads, m_bins: int):
+    """The one pass over a split's slices. Every case is forwarded, and
+    may abort, before the first slice is binned. Returns per-slice rows
+    (label, head, p, g, bins) in case, slice, head order, and the pooled
+    ReliabilityBins of each head. Only the scored heads are kept."""
+    probs = [{h: pc[h] for h in heads}
+             for pc in (_case_probs(model, case) for case in cases)]
     rows = []
-    pooled_p, pooled_g = [], []
-    for case in _split_cases(caseset, split):
-        probs = _case_probs(model, case)[eval_head]
+    for case, pc in zip(cases, probs):
         for s in range(case.image.shape[0]):
-            p = probs[s, 0]
-            g = case.mask[s, 0]
-            slice_iou = iou(binarize(p), g)
-            slice_ece = ece(reliability_bins(p, g, m_bins))
-            rows.append((_slice_label(case, s), slice_iou, slice_ece))
-            pooled_p.append(p.ravel())
-            pooled_g.append(g.ravel())
+            label, g = f"{case.case_id}_s{s:03d}", case.mask[s, 0]
+            for h in heads:
+                p = pc[h][s, 0]
+                rows.append((label, h, p, g, reliability_bins(p, g, m_bins)))
+    gt = np.concatenate([c.mask.ravel() for c in cases])
+    pooled = {h: reliability_bins(np.concatenate([pc[h].ravel()
+                                                  for pc in probs]),
+                                  gt, m_bins)
+              for h in heads}
+    return rows, pooled
+
+
+def evaluate_split(model, cases, m_bins: int):
+    """Per-slice (label, IoU, ECE) rows of the last head, their mean and
+    std IoU, and the head's pooled ECE."""
+    head = _head_names(model)[-1]
+    scored, pooled = _score(model, cases, [head], m_bins)
+    rows = [(label, iou(binarize(p), g), ece(bins))
+            for label, _, p, g, bins in scored]
     ious = np.array([r[1] for r in rows])
-    pooled = reliability_bins(np.concatenate(pooled_p),
-                              np.concatenate(pooled_g), m_bins)
-    return rows, float(ious.mean()), float(ious.std()), ece(pooled)
+    return rows, float(ious.mean()), float(ious.std()), ece(pooled[head])
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +219,18 @@ def cmd_train(args) -> int:
         cfg["train.seed"] = str(args.seed)
     if args.labelled_slices is not None:
         cfg["data.labelled_slices"] = str(args.labelled_slices)
-    out = run_training(args.variant, cfg, args.data, args.out)
-    print(out["averaged"])
+    print(run_training(args.variant, cfg, args.data, args.out))
     return 0
 
 
 def cmd_eval(args) -> int:
     model, echo = load_model(args.checkpoint)
     seed = echo_value({**DEFAULT_CONFIG, **echo}, "train.seed")
-    caseset = _load_normalized(args.data)
-    _split_cases(caseset, args.split)  # a bad split leaves no --out behind
+    # a bad split leaves no --out behind
+    cases = _split_cases(_load_normalized(args.data), args.split)
     os.makedirs(args.out, exist_ok=True)
-    rows, mean_iou, std_iou, pooled_ece = evaluate_split(
-        model, caseset, args.split, args.bins)
+    rows, mean_iou, std_iou, pooled_ece = evaluate_split(model, cases,
+                                                         args.bins)
 
     comments = echo_lines(echo)
     write_table(os.path.join(args.out, "per_image.csv"),
@@ -248,69 +249,56 @@ def cmd_eval(args) -> int:
 
 def cmd_calibrate(args) -> int:
     model, echo = load_model(args.checkpoint)
-    caseset = _load_normalized(args.data)
-    cases = _split_cases(caseset, args.split)
-    heads = _head_names(model)
+    cases = _split_cases(_load_normalized(args.data), args.split)
     comments = echo_lines(echo)
     os.makedirs(args.out, exist_ok=True)
+    rows, pooled = _score(model, cases, _head_names(model), args.bins)
 
-    pooled: dict[str, list[np.ndarray]] = {h: [] for h in heads}
-    pooled_gt: list[np.ndarray] = []
-    summary: list[tuple[str, str, float]] = []
-    # every forward runs, and may abort, before the first file is written
-    case_probs = [_case_probs(model, case) for case in cases]
-    for case, probs in zip(cases, case_probs):
-        for s in range(case.image.shape[0]):
-            g = case.mask[s, 0].ravel()
-            pooled_gt.append(g)
-            for h in heads:
-                p = probs[h][s, 0].ravel()
-                pooled[h].append(p)
-                bins = reliability_bins(p, g, args.bins)
-                label = _slice_label(case, s)
-                fname = f"reliability_{label}_{h}.csv"
-                emit_reliability_csv(bins, os.path.join(args.out, fname),
-                                     comments)
-                summary.append((label, h, ece(bins)))
-
-    gt_all = np.concatenate(pooled_gt)
-    pooled_rows = []
-    for h in heads:
-        bins = reliability_bins(np.concatenate(pooled[h]), gt_all, args.bins)
+    # a label may hold a case path's "/": the file name encodes it
+    for label, h, _, _, bins in rows:
+        fname = f"reliability_{quote(label, safe='')}_{h}.csv"
+        emit_reliability_csv(bins, os.path.join(args.out, fname), comments)
+    for h, bins in pooled.items():
         emit_reliability_csv(
             bins, os.path.join(args.out, f"reliability_pooled_{h}.csv"),
             comments)
-        pooled_rows.append(("pooled", h, ece(bins)))
-
     write_table(os.path.join(args.out, "calibration.csv"),
                 {"scope": str, "head": str, "ece": float},
-                pooled_rows + summary, comments)
+                [("pooled", h, ece(bins)) for h, bins in pooled.items()]
+                + [(label, h, ece(bins)) for label, h, _, _, bins in rows],
+                comments)
     print(os.path.join(args.out, "calibration.csv"))
     return 0
 
 
-def cmd_sweep_alpha(args) -> int:
-    tokens = [t.strip() for t in args.values.split(",") if t.strip()]
+def _sweep_values(text: str, flag: str, key: str) -> tuple[list, list]:
+    """The tokens of a comma-separated sweep flag and their values, each
+    parsed and checked as config `key`; a repeated value is refused."""
+    tokens = [t.strip() for t in text.split(",") if t.strip()]
     if not tokens:
-        raise ParameterError("--values needs at least one alpha")
+        raise ParameterError(f"{flag} needs at least one value")
+    values = []
     for t in tokens:
         try:
-            TrainConfig(alpha_max=parse_config_value("loss.alpha_max", t)
-                        ).validate()
+            value = parse_config_value(key, t)
+            TrainConfig(**{CONFIG_FIELDS[key].name: value}).validate()
         except ConfigError as e:
-            raise ParameterError(f"bad alpha value {t!r}: {e}") from None
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    except ValueError:
-        raise ParameterError(f"--seeds expects comma-separated integers, "
-                             f"got {args.seeds!r}") from None
-    if not seeds:
-        raise ParameterError("--seeds needs at least one seed")
+            raise ParameterError(f"bad {flag} value {t!r}: {e}") from None
+        if value in values:
+            raise ParameterError(f"{flag} repeats the value of {t!r}")
+        values.append(value)
+    return tokens, values
+
+
+def cmd_sweep_alpha(args) -> int:
+    tokens, _ = _sweep_values(args.values, "--values", "loss.alpha_max")
+    _, seeds = _sweep_values(args.seeds, "--seeds", "train.seed")
     base_cfg = merge_config(args.config, args.set)
     if args.labelled_slices is not None:
         base_cfg["data.labelled_slices"] = str(args.labelled_slices)
 
-    caseset = _load_normalized(args.data)
+    # a missing test split stops the sweep before its first arm trains
+    test_cases = _split_cases(_load_normalized(args.data), "test")
     results = {}
     for token in tokens:
         for seed in seeds:
@@ -318,10 +306,9 @@ def cmd_sweep_alpha(args) -> int:
             cfg["loss.alpha_max"] = token
             cfg["train.seed"] = str(seed)
             out_dir = os.path.join(args.out, f"alpha_{token}", f"seed_{seed}")
-            paths = run_training(args.variant, cfg, args.data, out_dir)
-            model, _ = load_model(paths["averaged"])
-            _, mean_iou, _, _ = evaluate_split(model, caseset, "test",
-                                               args.bins)
+            model, _ = load_model(run_training(args.variant, cfg, args.data,
+                                               out_dir))
+            _, mean_iou, _, _ = evaluate_split(model, test_cases, args.bins)
             results[(token, seed)] = mean_iou
 
     summary_path = os.path.join(args.out, "alpha_sweep.csv")

@@ -409,6 +409,7 @@ def load_caseset(manifest_path) -> CaseSet:
     base = os.path.dirname(os.path.abspath(manifest_path))
     cases: list[Case] = []
     split: dict[str, list[int]] = {}
+    listed: dict[str, int] = {}  # normalised image path -> its line
     # bytes that are not UTF-8 read as U+FFFD: a bad field or a missing file
     with open(manifest_path, encoding="utf-8", errors="replace") as f:
         for ln, line in enumerate(f, start=1):
@@ -429,6 +430,10 @@ def load_caseset(manifest_path) -> CaseSet:
             if not path.endswith(IMAGE_SUFFIX):
                 raise FormatError(f"manifest line {ln}: image path {path!r} "
                                   f"must end in {IMAGE_SUFFIX}")
+            first = listed.setdefault(os.path.normpath(path), ln)
+            if first != ln:
+                raise FormatError(f"manifest line {ln}: case {path!r} is "
+                                  f"already listed on line {first}")
             case_id = path[:-len(IMAGE_SUFFIX)]
             try:
                 image = read_tensor(os.path.join(base, path))

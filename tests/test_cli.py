@@ -1,4 +1,5 @@
 import os
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -40,6 +41,15 @@ def dataset(tmp_path_factory):
 def trained_mm(dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("mm_run")
     rc = main(["train", "--variant", "MM", "--data", dataset,
+               "--out", str(out)] + FAST)
+    assert rc == 0
+    return str(out)
+
+
+@pytest.fixture(scope="module")
+def trained_sup1(dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("sup1_run")
+    rc = main(["train", "--variant", "Sup1", "--data", dataset,
                "--out", str(out)] + FAST)
     assert rc == 0
     return str(out)
@@ -250,13 +260,39 @@ def test_eval_outputs_and_aggregate(trained_mm, dataset, tmp_path, capsys):
 
 
 def test_eval_is_byte_identical(trained_mm, dataset, tmp_path):
-    argv = ["eval", "--checkpoint", os.path.join(trained_mm, "averaged.ckpt"),
+    for command, table in (("eval", "per_image.csv"),
+                           ("calibrate", "calibration.csv")):
+        argv = [command, "--checkpoint",
+                os.path.join(trained_mm, "averaged.ckpt"),
+                "--data", dataset, "--split", "test"]
+        a, b = tmp_path / command / "a", tmp_path / command / "b"
+        assert main(argv + ["--out", str(a)]) == 0
+        assert main(argv + ["--out", str(b)]) == 0
+        names = sorted(os.listdir(a))
+        assert table in names and names == sorted(os.listdir(b))
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("run,head", [("trained_mm", "avg"),
+                                      ("trained_sup1", "p")])
+def test_eval_and_calibrate_agree(request, dataset, tmp_path, run, head):
+    # eval scores the last head: its ECEs are calibrate's, cell for cell
+    argv = ["--checkpoint",
+            os.path.join(request.getfixturevalue(run), "averaged.ckpt"),
             "--data", dataset, "--split", "test"]
-    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
-    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
-    for name in ("per_image.csv", "metrics.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == \
-            (tmp_path / "b" / name).read_bytes()
+    assert main(["eval"] + argv + ["--out", str(tmp_path / "eval")]) == 0
+    assert main(["calibrate"] + argv + ["--out", str(tmp_path / "cal")]) == 0
+    calibration = [r for r in _read_csv_rows(tmp_path / "cal" /
+                                             "calibration.csv")
+                   if r["head"] == head]
+    assert calibration[0]["scope"] == "pooled"
+    per_image = _read_csv_rows(tmp_path / "eval" / "per_image.csv")
+    assert [(r["image"], r["ece"]) for r in per_image] == \
+        [(r["scope"], r["ece"]) for r in calibration[1:]]
+    assert len(per_image) == 2  # one test case, two slices
+    (metrics,) = _read_csv_rows(tmp_path / "eval" / "metrics.csv")
+    assert metrics["ece"] == calibration[0]["ece"]
 
 
 def _count_forwards(monkeypatch, poison_call=None):
@@ -413,6 +449,37 @@ def test_calibrate_emits_per_head_diagrams(trained_mm, dataset, tmp_path):
     assert heads == {"p1", "p2", "avg"}
     scopes = {r["scope"] for r in rows}
     assert "pooled" in scopes and len(scopes) == 3  # pooled + 2 slices
+
+
+def test_calibrate_encodes_case_paths_in_file_names(trained_mm, dataset,
+                                                   tmp_path):
+    # the manifest lists each case as scans/case_NNNN.image.mmt
+    data = tmp_path / "data"
+    shutil.copytree(os.path.dirname(dataset), data / "scans")
+    lines = (data / "scans" / "manifest.txt").read_text().splitlines()
+    (data / "manifest.txt").write_text("".join(f"scans/{ln}\n"
+                                               for ln in lines))
+    case = lines[-1].split()[0][:-len(".image.mmt")]
+    argv = ["calibrate", "--checkpoint",
+            os.path.join(trained_mm, "averaged.ckpt")]
+    assert main(argv + ["--data", dataset,
+                        "--out", str(tmp_path / "plain")]) == 0
+    out = tmp_path / "nested"
+    assert main(argv + ["--data", str(data / "manifest.txt"),
+                        "--out", str(out)]) == 0
+    assert all(p.parent == out and p.is_file() for p in out.rglob("*"))
+
+    plain = os.listdir(tmp_path / "plain")
+    encoded = {n.replace(f"_{case}_", f"_scans%2F{case}_"): n for n in plain}
+    assert sorted(os.listdir(out)) == sorted(encoded)
+    assert "reliability_scans%2Fcase_0003_s001_avg.csv" in encoded
+    for name, plain_name in encoded.items():
+        if name != "calibration.csv":  # its cells keep the plain labels
+            assert (out / name).read_bytes() == \
+                (tmp_path / "plain" / plain_name).read_bytes(), name
+    rows = _read_csv_rows(out / "calibration.csv")
+    assert {r["scope"] for r in rows} == {"pooled", f"scans/{case}_s000",
+                                          f"scans/{case}_s001"}
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,9 @@ def test_readers_reject_oversized_dims(dataset, tmp_path, capsys, dims):
     (["calibrate", "--bins", "0"], "calibration.csv"),
     (["eval", "--bins", "0"], "per_image.csv"),
     (["sweep-alpha", "--bins", "0"], "history.csv"),
+    (["sweep-alpha", "--seeds", "0,-1"], "history.csv"),
+    (["sweep-alpha", "--seeds", "0,0"], "history.csv"),
+    (["sweep-alpha", "--values", "0.001,1e-3"], "history.csv"),
 ])
 def test_commands_reject_malformed_arguments(dataset, tmp_path, monkeypatch,
                                              capsys, argv, output):
@@ -208,6 +211,16 @@ def _empty_case(dataset, tmp_path):
     return str(data / "manifest.txt")
 
 
+def _no_test_split(dataset, tmp_path):
+    """A copy of the data set whose manifest lists no test case."""
+    data = tmp_path / "data"
+    shutil.copytree(os.path.dirname(dataset), data)
+    lines = (data / "manifest.txt").read_text().splitlines(keepends=True)
+    (data / "manifest.txt").write_text(
+        "".join(ln for ln in lines if not ln.rstrip().endswith(" test")))
+    return str(data / "manifest.txt")
+
+
 @pytest.mark.parametrize("command,flaw", [
     ("train", "config not UTF-8"),
     ("train", "zero slices"),
@@ -215,6 +228,7 @@ def _empty_case(dataset, tmp_path):
     ("calibrate", "zero slices"),
     ("eval", "unknown split"),
     ("calibrate", "unknown split"),
+    ("sweep-alpha", "no test split"),
 ])
 def test_commands_reject_malformed_files(dataset, tmp_path, capsys, command,
                                          flaw):
@@ -225,10 +239,14 @@ def test_commands_reject_malformed_files(dataset, tmp_path, capsys, command,
         argv += ["--data", dataset, "--config", str(config)]
     elif flaw == "unknown split":
         argv += ["--data", dataset, "--split", "bogus"]
+    elif flaw == "no test split":
+        argv += ["--data", _no_test_split(dataset, tmp_path)]
     else:
         argv += ["--data", _empty_case(dataset, tmp_path)]
     if command == "train":
         argv += ["--variant", "Sup1"] + SMALL
+    elif command == "sweep-alpha":
+        argv += SMALL
     else:
         argv += ["--checkpoint", _checkpoint(tmp_path / "m.ckpt", SUP1_ECHO)]
     assert main(argv) == 3

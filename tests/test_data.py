@@ -288,6 +288,13 @@ def test_manifest_errors(tmp_path):
     with pytest.raises(FormatError, match="labelled"):
         load_caseset(bad3)
 
+    # the same case twice, under two spellings of its path
+    bad4 = tmp_path / "d" / "m4.txt"
+    bad4.write_text(text + "./" + text.splitlines()[-1] + "\n")
+    with pytest.raises(FormatError, match="line 5: .* already listed on "
+                                          "line 4"):
+        load_caseset(bad4)
+
 
 @pytest.mark.parametrize("mask_shape", [(1, 0, 8, 8), (1, 2, 8, 8),
                                         (2, 1, 8, 8), (1, 1, 8)])
