@@ -425,8 +425,8 @@ def same_padding(kernel: int, dilation: int = 1) -> int:
     return dilation * (kernel - 1) // 2
 
 
-# Column blocks of the tap walk: the rows a block reads (the c input rows,
-# or the k*k*c stacked columns) stay within this many bytes, in cache.
+# Blocks of the tap walk: the rows a block reads (the c input rows, or the
+# k*k*c stacked columns) stay within this many bytes, in cache.
 # Unblocked, a 16-slice 64x64 MM forward took 165 ms instead of 130 ms
 # (2-vCPU x86-64, OpenBLAS on one thread).
 _BLOCK_BYTES = 1 << 18
@@ -444,42 +444,53 @@ def _flat_grid(a: np.ndarray, hp: int, wp: int, at: int,
     return flat
 
 
-def _blocks(m: int, rows: int, itemsize: int):
-    """Column slices of a length-m tap walk that reads `rows` rows."""
+def _blocks(n: int, length: int, rows: int, itemsize: int):
+    """(samples, columns) slices of a tap walk over n samples of `length`
+    columns that reads `rows` rows: whole samples while one sample's rows
+    fit in _BLOCK_BYTES, column ranges inside one sample beyond that."""
     step = max(1, _BLOCK_BYTES // (rows * itemsize))
-    for m0 in range(0, m, step):
-        yield m0, min(m0 + step, m)
+    if length > step:
+        for i in range(n):
+            for m0 in range(0, length, step):
+                yield slice(i, i + 1), slice(m0, min(m0 + step, length))
+        return
+    per = step // max(length, 1)  # an empty batch's grid has length 0
+    for i0 in range(0, n, per):
+        yield slice(i0, min(i0 + per, n)), slice(None)
 
 
-def _tap_view(src: np.ndarray, k: int, d: int, wp: int,
-              m: int) -> np.ndarray:
-    """Every kernel tap of a flat (c, m + tail) `src` at once, as a
-    (k, k, c, m) strided view that copies nothing: tap (ki, kj) is
-    src[:, f:f + m] at f = ki*d*wp + kj*d, and the tail,
-    (k-1)*d*(wp + 1), is exactly the last tap's reach."""
+def _tap_view(src: np.ndarray, k: int, d: int, wp: int, n: int,
+              length: int, stride: int) -> np.ndarray:
+    """Every kernel tap of n samples of a flat (c, ...) `src` at once, as a
+    (k, k, n, c, length) strided view that copies nothing: tap (ki, kj) of
+    sample i is src[:, f:f + length] at f = i*stride + ki*d*wp + kj*d."""
     size = src.itemsize
-    return np.lib.stride_tricks.as_strided(
-        src, (k, k, src.shape[0], m),
-        (d * wp * size, d * size, src.strides[0], size), writeable=False)
+    return np.ndarray((k, k, n, src.shape[0], length), src.dtype, src, 0,
+                      (d * wp * size, d * size, stride * size,
+                       src.strides[0], size))
 
 
 def _conv_flat(taps: np.ndarray, view: np.ndarray) -> np.ndarray:
-    """The (o, m) sum over taps (ki, kj) of taps[ki, kj] @ view[ki, kj],
-    for (k, k, o, c) `taps` and a `_tap_view`, block by block.
+    """The (n, o, length) sum over taps (ki, kj) of
+    taps[ki, kj] @ view[ki, kj], for (k, k, o, c) `taps` and a `_tap_view`,
+    block by block.
 
-    Each tap's view goes to BLAS in place as its own GEMM, which re-reads
-    and re-writes the o output rows of a block once per tap. Where o > c,
-    copying the c input rows of every tap is cheaper, so the views are
-    stacked into one (k*k*c, block) matrix and one GEMM."""
+    Each tap's view goes to BLAS in place as its own GEMM per sample,
+    which re-reads and re-writes the o output rows of a block once per
+    tap. Where o > c, copying the c input rows of every tap is cheaper, so
+    the views are stacked into one (k*k*c, columns) matrix per sample and
+    one GEMM."""
     k, _, o, c = taps.shape
-    m = view.shape[-1]
-    out = np.empty((o, m), dtype=view.dtype)
+    n, length = view.shape[2], view.shape[-1]
+    out = np.empty((n, o, length), dtype=view.dtype)
     stacked = o > c
     w2 = taps.transpose(2, 0, 1, 3).reshape(o, k * k * c) if stacked else None
-    for m0, m1 in _blocks(m, k * k * c if stacked else c, view.itemsize):
-        blk, cols = out[:, m0:m1], view[..., m0:m1]
+    for s, m in _blocks(n, length, k * k * c if stacked else c,
+                        view.itemsize):
+        blk, cols = out[s, :, m], view[:, :, s, :, m]
         if stacked:  # the reshape is the copy
-            np.matmul(w2, cols.reshape(k * k * c, m1 - m0), out=blk)
+            np.matmul(w2, cols.transpose(2, 0, 1, 3, 4).reshape(
+                blk.shape[0], k * k * c, blk.shape[-1]), out=blk)
             continue
         np.matmul(taps[0, 0], cols[0, 0], out=blk)
         for t in range(1, k * k):
@@ -489,12 +500,12 @@ def _conv_flat(taps: np.ndarray, view: np.ndarray) -> np.ndarray:
 
 def _conv_weight_grad(gf: np.ndarray, view: np.ndarray) -> np.ndarray:
     """The (k, k, o, c) weight gradient: tap (ki, kj) is gf @ view[ki, kj].T
-    for (o, m) `gf` on the forward's grid and the input's `_tap_view`.
-    Every tap of a column block goes to BLAS in one batched GEMM."""
+    for (o, m) `gf` on the forward's grid and the input's (k, k, c, m) grid
+    view. Every tap of a column block goes to BLAS in one batched GEMM."""
     k, _, c, m = view.shape
     gw = np.zeros((k, k, gf.shape[0], c), dtype=gf.dtype)
-    for m0, m1 in _blocks(m, c, view.itemsize):
-        gw += np.matmul(gf[:, m0:m1], view[..., m0:m1].swapaxes(-1, -2))
+    for _, cols in _blocks(1, m, c, view.itemsize):
+        gw += np.matmul(gf[:, cols], view[..., cols].swapaxes(-1, -2))
     return gw
 
 
@@ -505,7 +516,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int,
     The effective kernel extent is dilation*(K-1)+1; same-size output
     needs padding = dilation*(K-1)/2 for odd K. Internally one GEMM per
     kernel tap over strided views of the flat padded input (`_conv_flat`),
-    with no column buffer; the tape keeps only that padded input. The
+    with no column buffer. A call that records nothing (no active tape, or
+    no input needs a gradient) walks only each sample's output rows. A
+    recorded call walks the whole padded grid, whose wrap rows its
+    backward reads anyway, and the tape keeps only that padded input. The
     input gradient is the same kernel run on the output gradient with the
     flipped, channel-transposed weights; the quadruple-loop definition is
     kept in the test suite as the oracle.
@@ -538,15 +552,25 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int,
 
     # Every sample is zero-padded into an hp x wp grid, flattened, and the
     # grids laid end to end: output (i, j) of a sample then reads tap
-    # (ki, kj) at flat offset i*wp + j + ki*d*wp + kj*d, so each tap is one
-    # strided (c, m) view. Outputs are computed on the whole grid; the rows
-    # and columns past ho x wo wrap into the next row or sample and are
-    # dropped. The tail keeps the last tap's view in bounds.
+    # (ki, kj) at flat offset i*wp + j + ki*d*wp + kj*d from its grid's
+    # start, so each tap is one strided (c, columns) view per sample. The
+    # columns past wo wrap into the next row and are dropped. The tail
+    # keeps the last tap's view in bounds.
     hp, wp = h + 2 * p, wd + 2 * p
     m, tail = n * hp * wp, (eff - 1) * (wp + 1)
-    xp = _tap_view(_flat_grid(x.data, hp, wp, p, tail), k, d, wp, m)
+    xf = _flat_grid(x.data, hp, wp, p, tail)
     taps = w.data.transpose(2, 3, 0, 1)
-    out2 = _conv_flat(taps, xp)
+    if not _records(active_tape(), (x, w, b)):
+        # value-only: each sample's ho output rows, which come out NCHW
+        out = _conv_flat(taps, _tap_view(xf, k, d, wp, n, ho * wp, hp * wp))
+        out += b.data[:, None]
+        return Tensor(np.ascontiguousarray(
+            out.reshape(n, o, ho, wp)[..., :wo]))
+
+    # recorded: the whole grid as one sample; the rows past ho wrap into
+    # the next sample and are dropped too
+    xp = _tap_view(xf, k, d, wp, 1, m, m)
+    out2 = _conv_flat(taps, xp)[0]
     out2 += b.data[:, None]
     out = np.ascontiguousarray(
         out2.reshape(o, n, hp, wp)[:, :, :ho, :wo].transpose(1, 0, 2, 3))
@@ -562,11 +586,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int,
         # tap's offset: the input gradient is the tap walk over gp with the
         # flipped, channel-transposed kernel.
         gp = _flat_grid(g, hp, wp, eff - 1, tail)
-        gw = _conv_weight_grad(gp[:, tail:tail + m], xp).transpose(2, 3, 0, 1)
+        gw = _conv_weight_grad(gp[:, tail:tail + m],
+                               xp[:, :, 0]).transpose(2, 3, 0, 1)
         if not needs_gx:
             return (None, gw, gb)
         gxp = _conv_flat(taps[::-1, ::-1].transpose(0, 1, 3, 2),
-                         _tap_view(gp, k, d, wp, m))
+                         _tap_view(gp, k, d, wp, 1, m, m))[0]
         gx = gxp.reshape(c, n, hp, wp)[:, :, p:p + h, p:p + wd]
         return (np.ascontiguousarray(gx.transpose(1, 0, 2, 3)), gw, gb)
 

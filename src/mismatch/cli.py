@@ -96,9 +96,11 @@ def _load_normalized(manifest) -> CaseSet:
     return caseset
 
 
-def run_training(variant: str, cfg: dict[str, str], manifest, out_dir):
-    """Train one arm and write final.ckpt, averaged.ckpt and history.csv;
-    returns averaged.ckpt's path."""
+def run_training(variant: str, cfg: dict[str, str], caseset, out_dir):
+    """Train one arm on a loaded, normalised `caseset`, or on a manifest
+    path, loaded and normalised once every config key has been checked,
+    and write final.ckpt, averaged.ckpt and history.csv; returns
+    averaged.ckpt's path."""
     spec = nets.variant_spec(variant)
     tc = train_config_from(cfg)  # every key is checked, for every arm
     cfg = dict(cfg)
@@ -107,7 +109,8 @@ def run_training(variant: str, cfg: dict[str, str], manifest, out_dir):
         tc = replace(tc, alpha_max=0.0)
     cfg["model.variant"] = variant
 
-    caseset = _load_normalized(manifest)
+    if not isinstance(caseset, CaseSet):
+        caseset = _load_normalized(caseset)
     augment = AugmentConfig(
         flip=spec.augment_flip,
         noise_sigma=tc.augment_noise if spec.augment_noise else 0.0)
@@ -119,9 +122,10 @@ def run_training(variant: str, cfg: dict[str, str], manifest, out_dir):
     if unlabelled is None and spec.semi_supervised:
         raise ConfigError(f"variant {variant} needs an unlabelled_train split")
 
-    # an unusable out_dir fails here, not after the whole training run
-    os.makedirs(out_dir, exist_ok=True)
+    # a width beyond memory leaves no out_dir, and an unusable out_dir
+    # fails here, not after the whole training run
     model = init_params(variant, tc.channels, tc.in_channels, seed=tc.seed)
+    os.makedirs(out_dir, exist_ok=True)
     final, averaged, history = train(tc, model, labelled, unlabelled)
 
     comments = echo_lines(cfg)
@@ -298,7 +302,8 @@ def cmd_sweep_alpha(args) -> int:
         base_cfg["data.labelled_slices"] = str(args.labelled_slices)
 
     # a missing test split stops the sweep before its first arm trains
-    test_cases = _split_cases(_load_normalized(args.data), "test")
+    caseset = _load_normalized(args.data)
+    test_cases = _split_cases(caseset, "test")
     results = {}
     for token in tokens:
         for seed in seeds:
@@ -306,7 +311,7 @@ def cmd_sweep_alpha(args) -> int:
             cfg["loss.alpha_max"] = token
             cfg["train.seed"] = str(seed)
             out_dir = os.path.join(args.out, f"alpha_{token}", f"seed_{seed}")
-            model, _ = load_model(run_training(args.variant, cfg, args.data,
+            model, _ = load_model(run_training(args.variant, cfg, caseset,
                                                out_dir))
             _, mean_iou, _, _ = evaluate_split(model, test_cases, args.bins)
             results[(token, seed)] = mean_iou

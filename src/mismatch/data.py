@@ -478,6 +478,8 @@ def split_counts(n_cases: int) -> dict[str, int]:
 def gen_caseset(seed: int, kind: str, n_cases: int, slices: int, size: int,
                 noise_sigma: float) -> CaseSet:
     """Generate a full case set split 1/3/1/5 in generation order."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     counts = split_counts(n_cases)
     ss = np.random.SeedSequence(seed).spawn(n_cases)
     order = (["labelled_train"] * counts["labelled_train"]

@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mismatch.autodiff import (Tape, Tensor, add, backward, concat_channels,
-                               conv2d, instance_norm, maxpool2, mse, mul,
-                               relu, same_padding, scale, sigmoid,
-                               stop_gradient, take_batch, upsample_bilinear2)
+from mismatch.autodiff import (_BLOCK_BYTES, Tape, Tensor, add, backward,
+                               concat_channels, conv2d, instance_norm,
+                               maxpool2, mse, mul, relu, same_padding, scale,
+                               sigmoid, stop_gradient, take_batch,
+                               upsample_bilinear2)
 from mismatch.errors import DimensionError, GraphError, ParameterError
 from mismatch.nets import morph_perturb
 from gradcheck import check_grads
@@ -43,8 +44,9 @@ def test_conv2d_matches_naive_oracle():
 
 def test_conv2d_value_only_batch_groups_match_whole_batch():
     # A value-only call and a recorded call of the same 4-sample float64
-    # batch (16 -> 4 at 48x48: 10,000 grid columns in 5 column blocks)
-    # take the same tap walk, and the recorded one keeps only the padded
+    # batch (16 -> 4 at 48x48: 10,000 grid columns in 5 column blocks):
+    # the value-only one walks each sample's 48 output rows in column
+    # blocks, the recorded one the whole grid, keeping only the padded
     # input for its backward; both must give the same values
     rng = np.random.default_rng(19)
     x = Tensor(rng.standard_normal((4, 16, 48, 48)))
@@ -72,6 +74,40 @@ MM_STEP_CONVS = [
 # and stacked (8 -> 16, 41 blocks), as (n, c, o, side, kernel, padding,
 # dilation).
 BLOCKED_CONVS = [(16, 24, 8, 64, 3, 1, 1), (16, 8, 16, 32, 3, 1, 1)]
+
+
+# eval-calibrate's conv2d calls: every MM step shape on 64x64 inputs, two
+# slices at a time, the dilation-5 side at 32x32 among them.
+EVAL_CONVS = [(2, c, o, 2 * side, k, p, d)
+              for c, o, side, k, p, d in MM_STEP_CONVS]
+
+# 16 -> 4 at 64x64 in float64: one sample's 16 input rows of 64*66 output
+# columns exceed a column block, so the sample is walked in column ranges.
+SPLIT_SAMPLE_CONV = (3, 16, 4, 64, 3, 1, 1)
+
+
+def test_value_only_conv2d_matches_oracle():
+    # a call that records nothing walks each sample's output rows, not the
+    # padded grid: with no tape, and on a tape with no input needing a
+    # gradient; the per-tap 16x16 convs put both samples in one block
+    _, c, _, side, _, p, _ = SPLIT_SAMPLE_CONV
+    assert c * side * (side + 2 * p) * 8 > _BLOCK_BYTES
+    rng = np.random.default_rng(41)
+    shapes = ([(2, *s) for s in MM_STEP_CONVS] + BLOCKED_CONVS + EVAL_CONVS
+              + [SPLIT_SAMPLE_CONV, (16, 8, 8, 64, 3, 1, 1),
+                 (16, 8, 8, 64, 3, 5, 5)])
+    for n, c, o, side, k, p, d in shapes:
+        x = Tensor(rng.standard_normal((n, c, side, side)))
+        w = Tensor(rng.standard_normal((o, c, k, k)))
+        b = Tensor(rng.standard_normal(o))
+        want = window_conv2d(x.data, w.data, b.data, p, d)
+        got = conv2d(x, w, b, p, dilation=d).data
+        assert got.flags.c_contiguous
+        assert rel_err(got, want) < 1e-12, (n, c, o, side, k, p, d)
+        with Tape() as tape:
+            np.testing.assert_array_equal(conv2d(x, w, b, p, dilation=d).data,
+                                          got)
+        assert not tape.nodes
 
 
 def test_conv2d_forward_and_weight_grad_match_oracles():
@@ -133,6 +169,18 @@ def test_conv2d_input_grad_matches_col2im_oracle():
         want = col2im_conv2d_input_grad(g, w.data, x.shape, p, d)
         assert gx.shape == x.shape
         assert rel_err(gx, want) < 1e-12
+
+
+def test_conv2d_takes_an_empty_batch():
+    x = Tensor(np.zeros((0, 2, 8, 8)))
+    w = Tensor(np.ones((3, 2, 3, 3)), requires_grad=True)
+    b = Tensor(np.ones(3))
+    assert conv2d(x, w, b, padding=1).shape == (0, 3, 8, 8)
+    with Tape() as tape:
+        out = conv2d(x, w, b, padding=1)
+    assert out.shape == (0, 3, 8, 8)
+    _, gw, gb = tape.nodes[-1].backward_fn(np.zeros(out.shape))
+    assert not gw.any() and not gb.any()
 
 
 def test_conv2d_identity_kernel_is_identity():

@@ -499,14 +499,16 @@ def test_sweep_alpha_echoes_tokens(dataset, tmp_path):
 
 def test_run_training_in_threads_matches_serial(dataset, tmp_path):
     # each thread records on its own tape, so concurrent arms reproduce a
-    # serial run byte for byte; a short switch interval interleaves them
+    # serial run byte for byte; a short switch interval interleaves them.
+    # The threads share one loaded case set, which training only reads.
     cfg = merge_config(overrides=FAST[1::2])
     run_training("MM", cfg, dataset, str(tmp_path / "serial"))
+    caseset = cli._load_normalized(dataset)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = [pool.submit(run_training, "MM", cfg, dataset,
+            futures = [pool.submit(run_training, "MM", cfg, caseset,
                                    str(tmp_path / f"thread{i}"))
                        for i in range(2)]
             for f in futures:
@@ -517,6 +519,24 @@ def test_run_training_in_threads_matches_serial(dataset, tmp_path):
         for name in ("history.csv", "averaged.ckpt"):
             assert (tmp_path / f"thread{i}" / name).read_bytes() == \
                 (tmp_path / "serial" / name).read_bytes(), (i, name)
+
+
+def test_train_and_sweep_alpha_load_the_manifest_once(dataset, tmp_path,
+                                                      monkeypatch):
+    loads = []
+
+    def counted(path):
+        loads.append(path)
+        return load_caseset(path)
+
+    monkeypatch.setattr(cli, "load_caseset", counted)
+    assert main(["train", "--variant", "Sup1", "--data", dataset,
+                 "--out", str(tmp_path / "t")] + FAST) == 0
+    assert loads == [dataset]
+    loads.clear()
+    assert main(["sweep-alpha", "--data", dataset, "--values", "0,0.01",
+                 "--seeds", "0,1", "--out", str(tmp_path / "s")] + FAST) == 0
+    assert loads == [dataset]
 
 
 def test_sweep_alpha_validates_tokens(dataset, tmp_path, capsys):

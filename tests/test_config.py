@@ -178,6 +178,7 @@ def test_readers_reject_oversized_dims(dataset, tmp_path, capsys, dims):
     (["sweep-alpha", "--seeds", "0,-1"], "history.csv"),
     (["sweep-alpha", "--seeds", "0,0"], "history.csv"),
     (["sweep-alpha", "--values", "0.001,1e-3"], "history.csv"),
+    (["gen-data", "--kind", "tubes", "--seed", "-1"], "manifest.txt"),
 ])
 def test_commands_reject_malformed_arguments(dataset, tmp_path, monkeypatch,
                                              capsys, argv, output):
@@ -224,6 +225,7 @@ def _no_test_split(dataset, tmp_path):
 @pytest.mark.parametrize("command,flaw", [
     ("train", "config not UTF-8"),
     ("train", "zero slices"),
+    ("train", "width beyond memory"),
     ("eval", "zero slices"),
     ("calibrate", "zero slices"),
     ("eval", "unknown split"),
@@ -241,10 +243,16 @@ def test_commands_reject_malformed_files(dataset, tmp_path, capsys, command,
         argv += ["--data", dataset, "--split", "bogus"]
     elif flaw == "no test split":
         argv += ["--data", _no_test_split(dataset, tmp_path)]
+    elif flaw == "width beyond memory":
+        # init_params refuses it from the layout's arithmetic, allocating
+        # nothing
+        argv += ["--data", dataset]
     else:
         argv += ["--data", _empty_case(dataset, tmp_path)]
     if command == "train":
         argv += ["--variant", "Sup1"] + SMALL
+        if flaw == "width beyond memory":
+            argv += ["--set", "model.channels=100000"]
     elif command == "sweep-alpha":
         argv += SMALL
     else:
