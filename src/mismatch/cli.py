@@ -15,7 +15,6 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from urllib.parse import quote
 
 import numpy as np
 
@@ -24,9 +23,9 @@ from .data import (AugmentConfig, CaseSet, casewise_normalize, gen_caseset,
                    load_caseset, make_streams, save_caseset)
 from .errors import (ConfigError, MisMatchError, NumericalAbort,
                      ParameterError)
-from .metrics import (MetricsRow, binarize, ece, emit_metrics_csv,
-                      emit_reliability_csv, fmt_float, iou, reliability_bins,
-                      write_table)
+from .metrics import (RELIABILITY_SLICES_COLUMNS, MetricsRow, binarize, ece,
+                      emit_metrics_csv, emit_reliability_csv, fmt_float, iou,
+                      reliability_bins, reliability_rows, write_table)
 from . import nets
 from .nets import average_prediction, init_params, model_forward
 from .training import (CONFIG_FIELDS, TrainConfig, echo_value, load_model,
@@ -258,14 +257,13 @@ def cmd_calibrate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     rows, pooled = _score(model, cases, _head_names(model), args.bins)
 
-    # a label may hold a case path's "/": the file name encodes it
-    for label, h, _, _, bins in rows:
-        fname = f"reliability_{quote(label, safe='')}_{h}.csv"
-        emit_reliability_csv(bins, os.path.join(args.out, fname), comments)
+    write_table(os.path.join(args.out, "reliability_slices.csv"),
+                RELIABILITY_SLICES_COLUMNS,
+                (r for label, h, _, _, bins in rows
+                 for r in reliability_rows(bins, label, h)), comments)
     for h, bins in pooled.items():
-        emit_reliability_csv(
-            bins, os.path.join(args.out, f"reliability_pooled_{h}.csv"),
-            comments)
+        emit_reliability_csv(bins, os.path.join(
+            args.out, f"reliability_pooled_{h}.csv"), comments)
     write_table(os.path.join(args.out, "calibration.csv"),
                 {"scope": str, "head": str, "ece": float},
                 [("pooled", h, ece(bins)) for h, bins in pooled.items()]
@@ -402,18 +400,10 @@ def main(argv=None) -> int:
         if getattr(args, "bins", 1) < 1:  # refused before any command works
             raise ParameterError(f"--bins must be >= 1, got {args.bins}")
         return args.func(args)
-    except ParameterError as e:
+    except (MisMatchError, OSError) as e:  # OSError: unreadable, bad --out
         print(f"MM-ERR: {e}", file=sys.stderr)
-        return 2
-    except NumericalAbort as e:
-        print(f"MM-ERR: {e}", file=sys.stderr)
-        return 4
-    except MisMatchError as e:
-        print(f"MM-ERR: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:  # unreadable inputs, unusable --out paths
-        print(f"MM-ERR: {e}", file=sys.stderr)
-        return 3
+        return (2 if isinstance(e, ParameterError)
+                else 4 if isinstance(e, NumericalAbort) else 3)
 
 
 if __name__ == "__main__":

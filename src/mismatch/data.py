@@ -467,12 +467,17 @@ def split_counts(n_cases: int) -> dict[str, int]:
     lab = max(1, n_cases // 10)
     val = max(1, n_cases // 10)
     unlab = max(1, (3 * n_cases) // 10)
-    test = n_cases - lab - val - unlab
-    if test < 1:
-        lab = val = unlab = 1
-        test = n_cases - 3
+    # the others take at most half of 10+ cases and 3-4 of fewer: test >= 1
     return {"labelled_train": lab, "unlabelled_train": unlab,
-            "validation": val, "test": test}
+            "validation": val, "test": n_cases - lab - val - unlab}
+
+
+def check_memory(nbytes: int, what: str, error=ParameterError) -> None:
+    """Refuse, as `error`, a plan of `nbytes` beyond physical memory."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > memory:
+        raise error(f"{what}: {nbytes} bytes, over the {memory} bytes of "
+                    f"physical memory")
 
 
 def gen_caseset(seed: int, kind: str, n_cases: int, slices: int, size: int,
@@ -481,11 +486,11 @@ def gen_caseset(seed: int, kind: str, n_cases: int, slices: int, size: int,
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     counts = split_counts(n_cases)
+    # every case keeps a float64 image and mask; Python ints never wrap
+    check_memory(n_cases * slices * size * size * 16,
+                 f"{n_cases} cases of {slices} {size}x{size} slices")
     ss = np.random.SeedSequence(seed).spawn(n_cases)
-    order = (["labelled_train"] * counts["labelled_train"]
-             + ["unlabelled_train"] * counts["unlabelled_train"]
-             + ["validation"] * counts["validation"]
-             + ["test"] * counts["test"])
+    order = [name for name in SPLIT_NAMES for _ in range(counts[name])]
     cases, split = [], {name: [] for name in SPLIT_NAMES}
     for i, (child, split_name) in enumerate(zip(ss, order)):
         case = gen_synthetic_case(child, kind, slices, size, noise_sigma,

@@ -21,6 +21,7 @@ METRICS_COLUMNS = {"experiment": str, "seed": int, "model": str, "iou": float,
                    "ece": float}
 RELIABILITY_COLUMNS = {"bin_low": float, "bin_high": float, "count": int,
                        "accuracy": float, "confidence": float}
+RELIABILITY_SLICES_COLUMNS = {"scope": str, "head": str, **RELIABILITY_COLUMNS}
 
 
 def fmt_float(v: float) -> str:
@@ -151,11 +152,17 @@ def read_table(path, columns: dict[str, type]) -> list[list]:
                           f"{','.join(columns)}: {e}") from None
 
 
+def reliability_rows(bins: ReliabilityBins, *key):
+    """One diagram's rows in bin order, each led by the cells of `key`
+    (reliability_slices.csv keys them by scope and head)."""
+    return ((*key, *row) for row in zip(bins.edges[:-1], bins.edges[1:],
+            bins.counts, bins.accuracy, bins.confidence))
+
+
 def emit_reliability_csv(bins: ReliabilityBins, path,
                          header_comments: tuple[str, ...] = ()) -> None:
-    write_table(path, RELIABILITY_COLUMNS,
-                zip(bins.edges[:-1], bins.edges[1:], bins.counts,
-                    bins.accuracy, bins.confidence), header_comments)
+    write_table(path, RELIABILITY_COLUMNS, reliability_rows(bins),
+                header_comments)
 
 
 def read_reliability_csv(path) -> ReliabilityBins:

@@ -12,7 +12,6 @@ between the two heads is the training signal on unlabelled data.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from .autodiff import (Tensor, add, concat_channels, conv2d, instance_norm,
                        maxpool2, mul, relu, same_padding, scale, sigmoid,
                        upsample_bilinear2, window_extreme)
+from .data import check_memory
 from .errors import ConfigError, ContractError, DimensionError, ParameterError
 
 PASB_SIDE_DILATION = 5
@@ -311,10 +311,7 @@ def init_params(variant: str, channels: int, in_channels: int = 1,
         raise ParameterError("channels must be >= 1")
     layout = list(param_layout(kinds, channels, in_channels))
     nbytes = np.dtype(dtype).itemsize * sum(math.prod(s) for _, s, _ in layout)
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if nbytes > memory:
-        raise ConfigError(f"width {channels} needs {nbytes} parameter bytes, "
-                          f"over the {memory} bytes of physical memory")
+    check_memory(nbytes, f"parameters of width {channels}", ConfigError)
     # one generator per encoder/decoder name prefix, listed in layout order
     parts = ["enc"] + [f"dec{j}." for j in range(len(kinds))]
     children = np.random.SeedSequence(seed).spawn(len(parts))

@@ -12,7 +12,9 @@ from mismatch.autodiff import Tensor
 from mismatch.cli import main, merge_config, run_training
 from mismatch.data import Case, load_caseset
 from mismatch.errors import NumericalAbort
-from mismatch.metrics import read_metrics_csv, read_reliability_csv
+from mismatch.metrics import (RELIABILITY_SLICES_COLUMNS, ReliabilityBins,
+                              ece, read_metrics_csv, read_reliability_csv,
+                              read_table)
 from mismatch.nets import average_prediction, init_params, model_forward
 from mismatch.training import load_model, read_history_csv, save_checkpoint
 
@@ -93,6 +95,30 @@ def test_gen_data_rejects_bad_size(tmp_path, capsys):
                "--size", "30", "--out", str(tmp_path / "d")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("MM-ERR:")
+
+
+def test_gen_data_refuses_a_data_set_beyond_physical_memory(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # 64 KiB of "physical memory": 4 cases of one 32x32 slice keep exactly
+    # 65536 bytes of float64 image and mask, and a fifth case is refused
+    # before any case is drawn
+    pages = {"SC_PHYS_PAGES": 16, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    argv = ["gen-data", "--kind", "tubes", "--slices", "1", "--size", "32"]
+    assert main(argv + ["--cases", "4", "--out", str(tmp_path / "fits")]) == 0
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("a case was drawn")
+
+    monkeypatch.setattr("mismatch.data.gen_synthetic_case", never)
+    assert main(argv + ["--cases", "5", "--out", str(tmp_path / "big")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("MM-ERR:")
+    assert err[0].endswith(": 81920 bytes, over the 65536 bytes of physical "
+                          "memory")
+    assert not (tmp_path / "big").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -433,53 +459,89 @@ def test_manifest_rejects_paths_without_image_suffix(dataset, tmp_path,
 # ---------------------------------------------------------------------------
 # calibrate
 
+HEADS = ("p1", "p2", "avg")
+OUTPUTS = ["calibration.csv", "reliability_slices.csv",
+           *(f"reliability_pooled_{h}.csv" for h in HEADS)]
+
+
 def test_calibrate_emits_per_head_diagrams(trained_mm, dataset, tmp_path):
     out = tmp_path / "cal"
     rc = main(["calibrate", "--checkpoint",
                os.path.join(trained_mm, "averaged.ckpt"), "--data", dataset,
                "--split", "test", "--out", str(out)])
     assert rc == 0
-    for head in ("p1", "p2", "avg"):
-        pooled = read_reliability_csv(out / f"reliability_pooled_{head}.csv")
-        assert len(pooled.counts) == 10
-        assert pooled.n == 2 * 8 * 8
+    assert sorted(os.listdir(out)) == sorted(OUTPUTS)
+    pooled = {h: read_reliability_csv(out / f"reliability_pooled_{h}.csv")
+              for h in HEADS}
+    for bins in pooled.values():
+        assert len(bins.counts) == 10
+        assert bins.n == 2 * 8 * 8
     rows = _read_csv_rows(out / "calibration.csv")
     assert rows[0]["scope"] == "pooled"  # pooled rows lead the summary
     heads = {r["head"] for r in rows}
-    assert heads == {"p1", "p2", "avg"}
+    assert heads == set(HEADS)
     scopes = {r["scope"] for r in rows}
     assert "pooled" in scopes and len(scopes) == 3  # pooled + 2 slices
 
+    # one table of every slice's diagrams: case, slice, head, then bins
+    table = read_table(out / "reliability_slices.csv",
+                       RELIABILITY_SLICES_COLUMNS)
+    case = load_caseset(dataset).cases_in("test")[0].case_id
+    keys = [(f"{case}_s{s:03d}", h) for s in range(2) for h in HEADS]
+    assert [tuple(r[:2]) for r in table] == [k for k in keys
+                                             for _ in range(10)]
+    slice_ece = {(r["scope"], r["head"]): r["ece"] for r in rows[3:]}
+    assert sorted(slice_ece) == sorted(keys)
+    for i, key in enumerate(keys):
+        lows, highs, counts, accs, confs = map(
+            np.array, zip(*[r[2:] for r in table[10 * i:10 * i + 10]]))
+        assert (lows[1:] == highs[:-1]).all() and (lows < highs).all()
+        assert counts.sum() == 8 * 8
+        bins = ReliabilityBins(np.append(lows, highs[-1]), counts, accs,
+                               confs)
+        # the cells hold 10 significant digits (fmt_float), so the ECE of
+        # the rounded accuracies and confidences may move by 1e-10, and
+        # calibration.csv's own rounding adds up to 5e-11
+        assert abs(ece(bins) - float(slice_ece[key])) <= 2e-10
+    for h in HEADS:  # summed over the slices, a head's pooled counts
+        counts = np.array([r[4] for r in table if r[1] == h]).reshape(2, 10)
+        assert (counts.sum(axis=0) == pooled[h].counts).all()
 
-def test_calibrate_encodes_case_paths_in_file_names(trained_mm, dataset,
-                                                   tmp_path):
-    # the manifest lists each case as scans/case_NNNN.image.mmt
+
+def test_calibrate_takes_a_long_case_path(trained_mm, dataset, tmp_path):
+    # the manifest lists each case under eight nested 30-character
+    # directories; no file name in --out may hold such a label
+    nest = "/".join(f"dir{i:02d}_" + "x" * 24 for i in range(8))
     data = tmp_path / "data"
-    shutil.copytree(os.path.dirname(dataset), data / "scans")
-    lines = (data / "scans" / "manifest.txt").read_text().splitlines()
-    (data / "manifest.txt").write_text("".join(f"scans/{ln}\n"
+    shutil.copytree(os.path.dirname(dataset), data / nest)
+    lines = (data / nest / "manifest.txt").read_text().splitlines()
+    (data / "manifest.txt").write_text("".join(f"{nest}/{ln}\n"
                                                for ln in lines))
     case = lines[-1].split()[0][:-len(".image.mmt")]
+    assert len(f"{nest}/{case}") == 257
     argv = ["calibrate", "--checkpoint",
             os.path.join(trained_mm, "averaged.ckpt")]
-    assert main(argv + ["--data", dataset,
-                        "--out", str(tmp_path / "plain")]) == 0
+    plain = tmp_path / "plain"
+    assert main(argv + ["--data", dataset, "--out", str(plain)]) == 0
     out = tmp_path / "nested"
     assert main(argv + ["--data", str(data / "manifest.txt"),
                         "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == sorted(OUTPUTS)
     assert all(p.parent == out and p.is_file() for p in out.rglob("*"))
 
-    plain = os.listdir(tmp_path / "plain")
-    encoded = {n.replace(f"_{case}_", f"_scans%2F{case}_"): n for n in plain}
-    assert sorted(os.listdir(out)) == sorted(encoded)
-    assert "reliability_scans%2Fcase_0003_s001_avg.csv" in encoded
-    for name, plain_name in encoded.items():
-        if name != "calibration.csv":  # its cells keep the plain labels
-            assert (out / name).read_bytes() == \
-                (tmp_path / "plain" / plain_name).read_bytes(), name
+    for name in OUTPUTS[2:]:  # the pooled diagrams hold no label
+        assert (out / name).read_bytes() == (plain / name).read_bytes()
+    # calibration.csv and the slice table: the cells carry the nested
+    # path, and every bin is byte-equal
+    for name in OUTPUTS[:2]:
+        want = (plain / name).read_text().splitlines()
+        got = (out / name).read_text().splitlines()
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == (f"{nest}/{w}" if w.startswith(case) else w), name
     rows = _read_csv_rows(out / "calibration.csv")
-    assert {r["scope"] for r in rows} == {"pooled", f"scans/{case}_s000",
-                                          f"scans/{case}_s001"}
+    assert {r["scope"] for r in rows} == {"pooled", f"{nest}/{case}_s000",
+                                          f"{nest}/{case}_s001"}
 
 
 # ---------------------------------------------------------------------------

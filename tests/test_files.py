@@ -12,9 +12,11 @@ from mismatch import data
 from mismatch.cli import main
 from mismatch.data import write_tensor
 from mismatch.errors import FormatError
-from mismatch.metrics import (MetricsRow, emit_metrics_csv,
-                              emit_reliability_csv, read_metrics_csv,
-                              read_reliability_csv, reliability_bins)
+from mismatch.metrics import (RELIABILITY_SLICES_COLUMNS, MetricsRow,
+                              emit_metrics_csv, emit_reliability_csv,
+                              read_metrics_csv, read_reliability_csv,
+                              read_table, reliability_bins, reliability_rows,
+                              write_table)
 from mismatch.nets import init_params
 from mismatch.training import (HistoryRow, read_history_csv, save_checkpoint,
                                write_history_csv)
@@ -23,6 +25,8 @@ ECHO = {"model.variant": "Sup1", "model.channels": "1",
         "model.in_channels": "1", "train.seed": "0"}
 MODEL = init_params("Sup1", channels=1, seed=0)
 BINS = reliability_bins([0.1, 0.6, 0.9], [0, 1, 1], 2)
+# a scope cell with a leading '#', a comma and quotes
+SLICE_ROWS = [list(r) for r in reliability_rows(BINS, '#a,"b"_s000', "p1")]
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +55,12 @@ def test_eval_metrics_csv_round_trips_experiment(dataset, tmp_path, flag,
     assert (row.seed, row.model) == (0, "Sup1")
 
 
+def _read_slices(path):
+    rows = read_table(path, RELIABILITY_SLICES_COLUMNS)
+    assert rows == SLICE_ROWS  # a clean table round-trips cell for cell
+    return rows
+
+
 WRITERS = {
     "history": (lambda p: write_history_csv(p, [HistoryRow(0, 0, 0.5, 0.5,
                                                            0.0, 0.0, 1.0)]),
@@ -60,6 +70,9 @@ WRITERS = {
                 read_metrics_csv),
     "reliability": (lambda p: emit_reliability_csv(BINS, p),
                     read_reliability_csv),
+    "reliability_slices": (
+        lambda p: write_table(p, RELIABILITY_SLICES_COLUMNS, SLICE_ROWS),
+        _read_slices),
 }
 
 

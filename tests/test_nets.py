@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -336,7 +337,7 @@ def test_init_rejects_widths_beyond_physical_memory(monkeypatch):
     # 64 KiB of "physical memory": a width-2 Sup1 model fits, width 8
     # (about 160 KiB of float32 parameters) does not
     pages = {"SC_PHYS_PAGES": 16, "SC_PAGE_SIZE": 4096}
-    monkeypatch.setattr(nets.os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     init_params("Sup1", channels=2)
     with pytest.raises(ConfigError, match="physical memory"):
         init_params("Sup1", channels=8)
