@@ -446,26 +446,30 @@ def _flat_grid(a: np.ndarray, hp: int, wp: int, at: int,
 
 def _blocks(n: int, length: int, rows: int, itemsize: int):
     """(samples, columns) slices of a tap walk over n samples of `length`
-    columns that reads `rows` rows: whole samples while one sample's rows
-    fit in _BLOCK_BYTES, column ranges inside one sample beyond that."""
+    columns, each sample's kept rows only, that reads `rows` rows: whole
+    samples while one sample's rows fit in _BLOCK_BYTES, column ranges
+    inside one sample beyond that."""
     step = max(1, _BLOCK_BYTES // (rows * itemsize))
     if length > step:
         for i in range(n):
             for m0 in range(0, length, step):
                 yield slice(i, i + 1), slice(m0, min(m0 + step, length))
         return
-    per = step // max(length, 1)  # an empty batch's grid has length 0
+    per = step // max(length, 1)  # an input of zero rows walks 0 columns
     for i0 in range(0, n, per):
         yield slice(i0, min(i0 + per, n)), slice(None)
 
 
 def _tap_view(src: np.ndarray, k: int, d: int, wp: int, n: int,
-              length: int, stride: int) -> np.ndarray:
+              length: int, stride: int, start: int = 0) -> np.ndarray:
     """Every kernel tap of n samples of a flat (c, ...) `src` at once, as a
     (k, k, n, c, length) strided view that copies nothing: tap (ki, kj) of
-    sample i is src[:, f:f + length] at f = i*stride + ki*d*wp + kj*d."""
+    sample i is src[:, f:f + length] at f = start + i*stride + ki*d*wp +
+    kj*d. The start is an offset, not a slice of `src`, because
+    np.ndarray takes only a contiguous buffer."""
     size = src.itemsize
-    return np.ndarray((k, k, n, src.shape[0], length), src.dtype, src, 0,
+    return np.ndarray((k, k, n, src.shape[0], length), src.dtype, src,
+                      start * size,
                       (d * wp * size, d * size, stride * size,
                        src.strides[0], size))
 
@@ -473,7 +477,8 @@ def _tap_view(src: np.ndarray, k: int, d: int, wp: int, n: int,
 def _conv_flat(taps: np.ndarray, view: np.ndarray) -> np.ndarray:
     """The (n, o, length) sum over taps (ki, kj) of
     taps[ki, kj] @ view[ki, kj], for (k, k, o, c) `taps` and a `_tap_view`,
-    block by block.
+    block by block. conv2d's forward and input gradient both walk it, each
+    over only the rows it keeps of every sample.
 
     Each tap's view goes to BLAS in place as its own GEMM per sample,
     which re-reads and re-writes the o output rows of a block once per
@@ -499,13 +504,16 @@ def _conv_flat(taps: np.ndarray, view: np.ndarray) -> np.ndarray:
 
 
 def _conv_weight_grad(gf: np.ndarray, view: np.ndarray) -> np.ndarray:
-    """The (k, k, o, c) weight gradient: tap (ki, kj) is gf @ view[ki, kj].T
-    for (o, m) `gf` on the forward's grid and the input's (k, k, c, m) grid
-    view. Every tap of a column block goes to BLAS in one batched GEMM."""
-    k, _, c, m = view.shape
+    """The (k, k, o, c) weight gradient: tap (ki, kj) is the sum over
+    samples i of gf[:, i] @ view[ki, kj, i].T, for (o, n, length) `gf` and
+    the forward's (k, k, n, c, length) `_tap_view`, in the blocks of its c
+    input rows. Every tap of a sample's block goes to BLAS in one batched
+    GEMM."""
+    k, _, n, c, length = view.shape
     gw = np.zeros((k, k, gf.shape[0], c), dtype=gf.dtype)
-    for _, cols in _blocks(1, m, c, view.itemsize):
-        gw += np.matmul(gf[:, cols], view[..., cols].swapaxes(-1, -2))
+    for s, m in _blocks(n, length, c, view.itemsize):
+        for i in range(s.start, s.stop):
+            gw += np.matmul(gf[:, i, m], view[:, :, i, :, m].swapaxes(-1, -2))
     return gw
 
 
@@ -516,13 +524,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int,
     The effective kernel extent is dilation*(K-1)+1; same-size output
     needs padding = dilation*(K-1)/2 for odd K. Internally one GEMM per
     kernel tap over strided views of the flat padded input (`_conv_flat`),
-    with no column buffer. A call that records nothing (no active tape, or
-    no input needs a gradient) walks only each sample's output rows. A
-    recorded call walks the whole padded grid, whose wrap rows its
-    backward reads anyway, and the tape keeps only that padded input. The
-    input gradient is the same kernel run on the output gradient with the
-    flipped, channel-transposed weights; the quadruple-loop definition is
-    kept in the test suite as the oracle.
+    with no column buffer, over only each sample's output rows. The tape
+    keeps only the padded input. The input gradient is the same walk over
+    each sample's input rows of the padded output gradient, with the
+    flipped, channel-transposed weights, and the weight gradient reduces
+    over the forward's columns; the quadruple-loop definition is kept in
+    the test suite as the oracle.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError("conv2d expects NCHW input and OIHW weights")
@@ -553,46 +560,38 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int,
     # Every sample is zero-padded into an hp x wp grid, flattened, and the
     # grids laid end to end: output (i, j) of a sample then reads tap
     # (ki, kj) at flat offset i*wp + j + ki*d*wp + kj*d from its grid's
-    # start, so each tap is one strided (c, columns) view per sample. The
-    # columns past wo wrap into the next row and are dropped. The tail
-    # keeps the last tap's view in bounds.
+    # start, so each tap is one strided (c, ho*wp) view per sample, and
+    # the output comes out NCHW. The columns past wo wrap into the next
+    # row and are dropped. The tail keeps the last tap's view in bounds.
     hp, wp = h + 2 * p, wd + 2 * p
     m, tail = n * hp * wp, (eff - 1) * (wp + 1)
     xf = _flat_grid(x.data, hp, wp, p, tail)
     taps = w.data.transpose(2, 3, 0, 1)
+    xv = _tap_view(xf, k, d, wp, n, ho * wp, hp * wp)
+    out = _conv_flat(taps, xv)
+    out += b.data[:, None]
+    out = np.ascontiguousarray(out.reshape(n, o, ho, wp)[..., :wo])
     if not _records(active_tape(), (x, w, b)):
-        # value-only: each sample's ho output rows, which come out NCHW
-        out = _conv_flat(taps, _tap_view(xf, k, d, wp, n, ho * wp, hp * wp))
-        out += b.data[:, None]
-        return Tensor(np.ascontiguousarray(
-            out.reshape(n, o, ho, wp)[..., :wo]))
-
-    # recorded: the whole grid as one sample; the rows past ho wrap into
-    # the next sample and are dropped too
-    xp = _tap_view(xf, k, d, wp, 1, m, m)
-    out2 = _conv_flat(taps, xp)[0]
-    out2 += b.data[:, None]
-    out = np.ascontiguousarray(
-        out2.reshape(o, n, hp, wp)[:, :, :ho, :wo].transpose(1, 0, 2, 3))
+        return Tensor(out)
     needs_gx = x.requires_grad
 
     def bw(g):
         gb = g.sum(axis=(0, 2, 3))
         # g written at row and column eff-1 of the forward's grid lands
-        # `tail` flat places after output (i, j), so gp[:, tail:tail + m] is
-        # g on that grid, zero on every wrap position: the weight
-        # gradient's operand. Input (i, j) meets g at (i - ki*d, j - kj*d),
-        # flat offset tail - ki*d*wp - kj*d in gp, which is the flipped
-        # tap's offset: the input gradient is the tap walk over gp with the
-        # flipped, channel-transposed kernel.
+        # `tail` flat places after output (i, j), so each sample's first
+        # ho*wp columns of gp[:, tail:tail + m] are g on the forward's
+        # columns, zero on the wrap ones: the weight gradient's operand.
+        # Input (i, j) meets g at (i - ki*d, j - kj*d), flat offset
+        # tail - ki*d*wp - kj*d in gp, which is the flipped tap's offset:
+        # the input gradient is the tap walk over each sample's input rows
+        # p..p+h of gp with the flipped, channel-transposed kernel.
         gp = _flat_grid(g, hp, wp, eff - 1, tail)
-        gw = _conv_weight_grad(gp[:, tail:tail + m],
-                               xp[:, :, 0]).transpose(2, 3, 0, 1)
+        gf = gp[:, tail:tail + m].reshape(o, n, hp * wp)[:, :, :ho * wp]
+        gw = _conv_weight_grad(gf, xv).transpose(2, 3, 0, 1)
         if not needs_gx:
             return (None, gw, gb)
-        gxp = _conv_flat(taps[::-1, ::-1].transpose(0, 1, 3, 2),
-                         _tap_view(gp, k, d, wp, 1, m, m))[0]
-        gx = gxp.reshape(c, n, hp, wp)[:, :, p:p + h, p:p + wd]
-        return (np.ascontiguousarray(gx.transpose(1, 0, 2, 3)), gw, gb)
+        gx = _conv_flat(taps[::-1, ::-1].transpose(0, 1, 3, 2),
+                        _tap_view(gp, k, d, wp, n, h * wp, hp * wp, p * wp))
+        return (gx.reshape(n, c, h, wp)[..., p:p + wd], gw, gb)
 
     return record_op("conv2d", (x, w, b), out, bw)

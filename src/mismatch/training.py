@@ -8,6 +8,7 @@ snapshots are kept and their elementwise mean is the evaluation model.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from collections import deque
 from dataclasses import astuple, dataclass, field, fields
@@ -225,6 +226,29 @@ def average_checkpoints(snapshots: list[Model]) -> Model:
 # ---------------------------------------------------------------------------
 # training loop
 
+def _keep_heap() -> None:
+    """Keep the training step's arrays on one heap that never shrinks.
+
+    A step allocates and frees the same few MB of arrays every time. By
+    default glibc hands the free top of the heap back to the kernel: in
+    MM training at width 8 on 32x32 slices, each backward shrank the arena
+    (mallinfo2) by 2-7 MB and the next forward faulted it back in, 1,050
+    to 1,110 minor faults per step in 4 of 5 seeded runs, against 0.4-0.5
+    with these settings. Setting either threshold turns off glibc's
+    dynamic thresholds, which would otherwise raise both as large blocks
+    are freed, so both are set. A no-op where the C library has no
+    mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: heap blocks up to 32 MiB
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: keep up to 256 MiB free
+
+
 @dataclass
 class HistoryRow:
     step: int
@@ -273,6 +297,7 @@ def train(config: TrainConfig, model: Model, labelled_stream,
                             f"model's flat store; write into .data[...] "
                             f"instead of rebinding it")
 
+    _keep_heap()
     steps_per_epoch = (unlabelled_stream.epoch_len if unlabelled_stream
                        else labelled_stream.epoch_len)
     total_steps = steps_per_epoch * config.epochs

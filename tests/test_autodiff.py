@@ -44,10 +44,10 @@ def test_conv2d_matches_naive_oracle():
 
 def test_conv2d_value_only_batch_groups_match_whole_batch():
     # A value-only call and a recorded call of the same 4-sample float64
-    # batch (16 -> 4 at 48x48: 10,000 grid columns in 5 column blocks):
-    # the value-only one walks each sample's 48 output rows in column
-    # blocks, the recorded one the whole grid, keeping only the padded
-    # input for its backward; both must give the same values
+    # batch (16 -> 4 at 48x48: 2,400 output-row columns per sample, in two
+    # column blocks each): both walk each sample's 48 output rows, and the
+    # recorded one also keeps the padded input for its backward; both must
+    # give the same values
     rng = np.random.default_rng(19)
     x = Tensor(rng.standard_normal((4, 16, 48, 48)))
     w = Tensor(rng.standard_normal((4, 16, 3, 3)), requires_grad=True)
@@ -86,6 +86,14 @@ EVAL_CONVS = [(2, c, o, 2 * side, k, p, d)
 SPLIT_SAMPLE_CONV = (3, 16, 4, 64, 3, 1, 1)
 
 
+# The recorded conv2d's shapes: every MM step shape at n=2, the blocked
+# shapes, the dilation-5 eval shapes, whose padded grids waste the most
+# rows, and a sample split into column ranges.
+RECORDED_CONVS = ([(2, *s) for s in MM_STEP_CONVS] + BLOCKED_CONVS
+                  + [s for s in EVAL_CONVS if s[-1] == 5]
+                  + [SPLIT_SAMPLE_CONV])
+
+
 def test_value_only_conv2d_matches_oracle():
     # a call that records nothing walks each sample's output rows, not the
     # padded grid: with no tape, and on a tape with no input needing a
@@ -112,17 +120,16 @@ def test_value_only_conv2d_matches_oracle():
 
 def test_conv2d_forward_and_weight_grad_match_oracles():
     # every MM step shape at n=2, both sides of the o > c stacking rule,
-    # then the blocked shapes against the sliced form of the same oracle
+    # then the larger shapes against the sliced form of the same oracle
     rng = np.random.default_rng(29)
-    shapes = [(2, *s) for s in MM_STEP_CONVS] + BLOCKED_CONVS
-    assert {o > c for _, c, o, *_ in shapes} == {True, False}
-    for n, c, o, side, k, p, d in shapes:
+    assert {o > c for _, c, o, *_ in RECORDED_CONVS} == {True, False}
+    for i, (n, c, o, side, k, p, d) in enumerate(RECORDED_CONVS):
         x = Tensor(rng.standard_normal((n, c, side, side)), requires_grad=True)
         w = Tensor(rng.standard_normal((o, c, k, k)), requires_grad=True)
         b = Tensor(rng.standard_normal(o), requires_grad=True)
         with Tape() as tape:
             out = conv2d(x, w, b, p, dilation=d)
-        oracle = naive_conv2d if n == 2 else window_conv2d
+        oracle = naive_conv2d if i < len(MM_STEP_CONVS) else window_conv2d
         assert rel_err(out.data, oracle(x.data, w.data, b.data, p, d)) < 1e-12
         g = rng.standard_normal(out.shape)
         _, gw, gb = tape.nodes[-1].backward_fn(g)
@@ -157,8 +164,7 @@ def test_recorded_conv2d_keeps_no_column_buffer():
 
 def test_conv2d_input_grad_matches_col2im_oracle():
     rng = np.random.default_rng(31)
-    for n, c, o, side, k, p, d in ([(2, *s) for s in MM_STEP_CONVS]
-                                   + BLOCKED_CONVS):
+    for n, c, o, side, k, p, d in RECORDED_CONVS:
         x = Tensor(rng.standard_normal((n, c, side, side)), requires_grad=True)
         w = Tensor(rng.standard_normal((o, c, k, k)), requires_grad=True)
         b = Tensor(rng.standard_normal(o), requires_grad=True)

@@ -10,7 +10,7 @@ import mismatch.cli as cli
 import mismatch.training as training
 from mismatch.autodiff import Tensor
 from mismatch.cli import main, merge_config, run_training
-from mismatch.data import Case, load_caseset
+from mismatch.data import CASE_OBJECT_BYTES, Case, load_caseset
 from mismatch.errors import NumericalAbort
 from mismatch.metrics import (RELIABILITY_SLICES_COLUMNS, ReliabilityBins,
                               ece, read_metrics_csv, read_reliability_csv,
@@ -100,25 +100,31 @@ def test_gen_data_rejects_bad_size(tmp_path, capsys):
 def test_gen_data_refuses_a_data_set_beyond_physical_memory(tmp_path,
                                                             monkeypatch,
                                                             capsys):
-    # 64 KiB of "physical memory": 4 cases of one 32x32 slice keep exactly
-    # 65536 bytes of float64 image and mask, and a fifth case is refused
-    # before any case is drawn
-    pages = {"SC_PHYS_PAGES": 16, "SC_PAGE_SIZE": 4096}
+    # 72 KiB of "physical memory": 4 cases of one 32x32 slice keep exactly
+    # 73728 bytes of float64 image and mask plus CASE_OBJECT_BYTES each,
+    # and a fifth case is refused before any case is drawn; so are 100
+    # cases of one 4x4 slice, whose 25600 bytes of pixels alone would fit
+    assert CASE_OBJECT_BYTES == 2048
+    pages = {"SC_PHYS_PAGES": 18, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    argv = ["gen-data", "--kind", "tubes", "--slices", "1", "--size", "32"]
-    assert main(argv + ["--cases", "4", "--out", str(tmp_path / "fits")]) == 0
+    argv = ["gen-data", "--kind", "tubes", "--slices", "1"]
+    assert main(argv + ["--size", "32", "--cases", "4",
+                        "--out", str(tmp_path / "fits")]) == 0
     capsys.readouterr()
 
     def never(*args, **kwargs):
         raise AssertionError("a case was drawn")
 
     monkeypatch.setattr("mismatch.data.gen_synthetic_case", never)
-    assert main(argv + ["--cases", "5", "--out", str(tmp_path / "big")]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("MM-ERR:")
-    assert err[0].endswith(": 81920 bytes, over the 65536 bytes of physical "
-                          "memory")
-    assert not (tmp_path / "big").exists()
+    for size, cases, nbytes in (("32", "5", 92160), ("4", "100", 230400)):
+        out = tmp_path / f"big{cases}"
+        assert main(argv + ["--size", size, "--cases", cases,
+                            "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("MM-ERR:")
+        assert err[0].endswith(f": {nbytes} bytes, over the 73728 bytes of "
+                               f"physical memory")
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

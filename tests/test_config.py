@@ -179,6 +179,8 @@ def test_readers_reject_oversized_dims(dataset, tmp_path, capsys, dims):
     (["sweep-alpha", "--seeds", "0,0"], "history.csv"),
     (["sweep-alpha", "--values", "0.001,1e-3"], "history.csv"),
     (["gen-data", "--kind", "tubes", "--seed", "-1"], "manifest.txt"),
+    (["gen-data", "--kind", "tubes", "--cases", "1000000000", "--slices", "0"],
+     "manifest.txt"),
 ])
 def test_commands_reject_malformed_arguments(dataset, tmp_path, monkeypatch,
                                              capsys, argv, output):

@@ -330,6 +330,27 @@ def test_split_counts_ratio():
         split_counts(3)
 
 
+@pytest.mark.parametrize("setting,message", [
+    ({"slices": 0}, "slices must be >= 1"),
+    ({"size": 0}, "size must be one of"),
+    ({"kind": "cubes"}, "unknown kind"),
+    ({"noise_sigma": float("nan")}, "noise_sigma must be finite"),
+])
+def test_gen_caseset_checks_case_settings_before_spawning(monkeypatch,
+                                                          setting, message):
+    # a billion cases would spawn a billion seed sequences, and with no
+    # pixels the memory bound alone would not refuse them first
+    class NoSpawn(np.random.SeedSequence):
+        def spawn(self, n_children):
+            raise AssertionError("spawned seed sequences")
+
+    monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+    settings = {"kind": "tubes", "slices": 1, "size": 8, "noise_sigma": 0.0,
+                **setting}
+    with pytest.raises(ParameterError, match=message):
+        gen_caseset(0, n_cases=10**9, **settings)
+
+
 def test_gen_caseset_assigns_labels_to_split():
     caseset = gen_caseset(seed=2, kind="tubes", n_cases=10, slices=1, size=8,
                           noise_sigma=0.2)

@@ -234,11 +234,8 @@ def test_chunked_float32_forward_is_bitwise_the_whole_batch(variant):
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_value_only_float32_forward_is_bitwise_the_recorded_one(variant):
-    # eval's forwards record nothing and walk only each sample's output
-    # rows, training's walk the padded grid; the two agree bitwise at the
-    # 32x32 and 64x64 inputs the benchmark and acceptance data use. From
-    # 16x16 inputs the bottleneck's small maps change BLAS's column count,
-    # and with it the rounding.
+    # eval's forwards record nothing and training's record, but both walk
+    # only each sample's output rows, the same walk, so they agree bitwise
     rng = np.random.default_rng(55)
     model = init_params(variant, channels=8, seed=5)
     for side in (16, 32, 64):
@@ -249,11 +246,7 @@ def test_value_only_float32_forward_is_bitwise_the_recorded_one(variant):
         assert tape.nodes
         for vo, rec in zip(value_only, recorded):
             assert vo.data.dtype == np.float32
-            if side == 16:
-                np.testing.assert_allclose(vo.data, rec.data, rtol=0,
-                                           atol=1e-4)
-            else:
-                np.testing.assert_array_equal(vo.data, rec.data)
+            np.testing.assert_array_equal(vo.data, rec.data)
 
 
 def test_average_prediction_averages_heads():
