@@ -95,11 +95,14 @@ def _load_normalized(manifest) -> CaseSet:
     return caseset
 
 
-def run_training(variant: str, cfg: dict[str, str], caseset, out_dir):
+def run_training(variant: str, cfg: dict[str, str], caseset, out_dir,
+                 scored=()):
     """Train one arm on a loaded, normalised `caseset`, or on a manifest
     path, loaded and normalised once every config key has been checked,
     and write final.ckpt, averaged.ckpt and history.csv; returns
-    averaged.ckpt's path."""
+    averaged.ckpt's path. The training slices, and the `scored` cases the
+    caller will forward through the trained model, are checked against
+    the model before out_dir is made."""
     spec = nets.variant_spec(variant)
     tc = train_config_from(cfg)  # every key is checked, for every arm
     cfg = dict(cfg)
@@ -121,9 +124,13 @@ def run_training(variant: str, cfg: dict[str, str], caseset, out_dir):
     if unlabelled is None and spec.semi_supervised:
         raise ConfigError(f"variant {variant} needs an unlabelled_train split")
 
-    # a width beyond memory leaves no out_dir, and an unusable out_dir
-    # fails here, not after the whole training run
+    # a width beyond memory or an input the model cannot take leaves no
+    # out_dir, and an unusable out_dir fails here, not after the whole
+    # training run; make_streams gave every training slice one shape
     model = init_params(variant, tc.channels, tc.in_channels, seed=tc.seed)
+    shapes = [(1, *labelled.slice_shape)] + [c.image.shape for c in scored]
+    for shape in shapes:
+        nets.check_input(model.params, shape)
     os.makedirs(out_dir, exist_ok=True)
     final, averaged, history = train(tc, model, labelled, unlabelled)
 
@@ -229,8 +236,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, echo = load_model(args.checkpoint)
     seed = echo_value({**DEFAULT_CONFIG, **echo}, "train.seed")
-    # a bad split leaves no --out behind
+    # a bad split or case leaves no --out behind
     cases = _split_cases(_load_normalized(args.data), args.split)
+    for case in cases:
+        nets.check_input(model.params, case.image.shape)
     os.makedirs(args.out, exist_ok=True)
     rows, mean_iou, std_iou, pooled_ece = evaluate_split(model, cases,
                                                          args.bins)
@@ -253,6 +262,8 @@ def cmd_eval(args) -> int:
 def cmd_calibrate(args) -> int:
     model, echo = load_model(args.checkpoint)
     cases = _split_cases(_load_normalized(args.data), args.split)
+    for case in cases:
+        nets.check_input(model.params, case.image.shape)
     comments = echo_lines(echo)
     os.makedirs(args.out, exist_ok=True)
     rows, pooled = _score(model, cases, _head_names(model), args.bins)
@@ -310,7 +321,7 @@ def cmd_sweep_alpha(args) -> int:
             cfg["train.seed"] = str(seed)
             out_dir = os.path.join(args.out, f"alpha_{token}", f"seed_{seed}")
             model, _ = load_model(run_training(args.variant, cfg, caseset,
-                                               out_dir))
+                                               out_dir, test_cases))
             _, mean_iou, _, _ = evaluate_split(model, test_cases, args.bins)
             results[(token, seed)] = mean_iou
 

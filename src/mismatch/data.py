@@ -194,6 +194,11 @@ class SliceStream:
         self._pos = 0
 
     @property
+    def slice_shape(self) -> tuple[int, ...]:
+        """The (C, H, W) shape of the pool's first slice."""
+        return self._items[0][0].shape
+
+    @property
     def epoch_len(self) -> int:
         if not self._items:
             return 0
@@ -246,7 +251,8 @@ def make_streams(caseset: CaseSet, labelled_slices: int, seed: int,
     are never augmented, and masks of unlabelled_train cases never read.
     Returns (labelled_stream, unlabelled_stream); the unlabelled stream is
     None when the split is absent or empty. A batch_size larger than
-    either pool is rejected: such a batch could only repeat slices.
+    either pool is rejected: such a batch could only repeat slices. So
+    are pools whose slices differ in shape, which no batch can stack.
     """
     if labelled_slices < 1:
         raise ConfigError("labelled_slices must be >= 1")
@@ -277,6 +283,10 @@ def make_streams(caseset: CaseSet, labelled_slices: int, seed: int,
                               f"unlabelled pool of {len(items)} slices")
         unlabelled = SliceStream(items, batch_size,
                                  np.random.default_rng(np.random.SeedSequence([seed, 2])))
+        pool += items  # every slice either stream can draw
+    shapes = sorted({img.shape for img, _ in pool})
+    if len(shapes) > 1:
+        raise ConfigError(f"training slices differ in shape: {shapes}")
     return labelled, unlabelled
 
 
@@ -490,6 +500,10 @@ def check_memory(nbytes: int, what: str, error=ParameterError) -> None:
 # seed sequence. gen_caseset's peak RSS grew by 1,241-1,713 B per case
 # beyond the pixels (10,000-40,000 cases of 4x4 to 16x16 slices).
 CASE_OBJECT_BYTES = 2048
+# Bytes per size**3 that _tube_slice's float64 (size, size, 4*size) arrays
+# hold at their peak: three of them. Drawing one tube slice grew peak RSS
+# by 199 MiB at size 128 and 656 MiB at size 192 (192 and 648 predicted).
+TUBE_WORKING_BYTES = 96
 
 
 def gen_caseset(seed: int, kind: str, n_cases: int, slices: int, size: int,
@@ -499,10 +513,13 @@ def gen_caseset(seed: int, kind: str, n_cases: int, slices: int, size: int,
         raise ParameterError(f"seed must be >= 0, got {seed}")
     counts = split_counts(n_cases)
     _check_case_params(kind, slices, size, noise_sigma)
-    # every case keeps a float64 image and mask, and its objects; Python
-    # ints never wrap
-    check_memory(n_cases * (slices * size * size * 16 + CASE_OBJECT_BYTES),
-                 f"{n_cases} cases of {slices} {size}x{size} slices")
+    # every case keeps a float64 image and mask, and its objects, and a
+    # tube slice is drawn in a working set of its own; Python ints never
+    # wrap
+    nbytes = n_cases * (slices * size * size * 16 + CASE_OBJECT_BYTES)
+    if kind == "tubes":
+        nbytes += TUBE_WORKING_BYTES * size ** 3
+    check_memory(nbytes, f"{n_cases} cases of {slices} {size}x{size} slices")
     ss = np.random.SeedSequence(seed).spawn(n_cases)
     order = [name for name in SPLIT_NAMES for _ in range(counts[name])]
     cases, split = [], {name: [] for name in SPLIT_NAMES}

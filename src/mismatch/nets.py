@@ -152,18 +152,30 @@ def nasb(x: Tensor, params, prefix: str,
     return add(m, mul(m, a))
 
 
+def check_input(params, shape) -> None:
+    """Refuse, as DimensionError, an image shape the encoder cannot take:
+    not NCHW, a channel count other than enc0's, or spatial dims that two
+    2x2 poolings cannot halve."""
+    if len(shape) != 4:
+        raise DimensionError(f"the encoder expects an NCHW image, got shape "
+                             f"{tuple(shape)}")
+    channels = params["enc0.main1.w"].shape[1]
+    if shape[1] != channels:
+        raise DimensionError(f"the model takes {channels}-channel images, "
+                             f"got {shape[1]}-channel ones")
+    h, w = shape[2], shape[3]
+    if h % 4 or w % 4:
+        raise DimensionError(f"encoder needs spatial dims divisible by 4, "
+                             f"got {h}x{w}")
+
+
 def encoder_forward(image: Tensor, params):
     """Three standard blocks with 2x2 max pooling between them.
 
     Returns (bottleneck, [skip1, skip2]) where skips keep the two upper
-    resolutions for the decoders. Spatial dims must be divisible by 4.
+    resolutions for the decoders. The image must pass check_input.
     """
-    if image.data.ndim != 4:
-        raise DimensionError("encoder_forward expects an NCHW image")
-    h, w = image.shape[2], image.shape[3]
-    if h % 4 or w % 4:
-        raise DimensionError(f"encoder needs spatial dims divisible by 4, "
-                             f"got {h}x{w}")
+    check_input(params, image.shape)
     s1 = standard_block(image, params, "enc0")
     s2 = standard_block(maxpool2(s1), params, "enc1")
     bottleneck = standard_block(maxpool2(s2), params, "enc2")

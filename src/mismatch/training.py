@@ -266,15 +266,13 @@ def train(config: TrainConfig, model: Model, labelled_stream,
 
     Every step draws one labelled batch (Dice per head) and, when an
     unlabelled stream is given, one unlabelled batch (consistency between
-    heads, weighted by the warm-up schedule). While that weight is
-    positive both batches share one forward pass; at zero weight the
-    unlabelled forward runs off the tape and its consistency is only
-    logged, so the labelled graph equals the supervised one. Epoch length
-    follows the unlabelled stream when present, the labelled stream
-    otherwise; the labelled stream cycles independently of epoch
-    boundaries. A non-finite loss or gradient raises NumericalAbort
-    before Adam changes any parameter. Returns (final params, averaged
-    params over the last save_last_k epoch-end snapshots, history rows).
+    heads, weighted by the warm-up schedule); both batches share one
+    forward pass. Epoch length follows the unlabelled stream when
+    present, the labelled stream otherwise; the labelled stream cycles
+    independently of epoch boundaries. A non-finite loss or gradient
+    raises NumericalAbort before Adam changes any parameter. Returns
+    (final params, averaged params over the last save_last_k epoch-end
+    snapshots, history rows).
 
     With stop_gradient_audit=True each step additionally differentiates
     each consistency summand alone and verifies the detached head's own
@@ -317,11 +315,12 @@ def train(config: TrainConfig, model: Model, labelled_stream,
             if stop_gradient_audit and xu is not None:
                 _audit_stop_gradient(model, xu, step)
 
-            joint = xu is not None and a > 0.0
             with Tape():
-                if joint:
-                    # One forward over labelled + unlabelled samples; every
-                    # norm is per sample, so each half equals its own forward.
+                if xu is not None:
+                    # One forward over labelled + unlabelled samples. Every
+                    # op is per sample, so each half equals its own forward,
+                    # and at zero weight the term's gradient is exactly +-0:
+                    # the step is then bitwise the supervised one.
                     nb = len(xb)
                     heads = model_forward(model,
                                           Tensor(np.concatenate([xb, xu])))
@@ -337,17 +336,12 @@ def train(config: TrainConfig, model: Model, labelled_stream,
                     d2 = dice_loss(probs[1], target, config.dice_smooth)
                     d2_val = d2.item()
                     total = add(d1, d2)
-                if joint:
+                cons_val = 0.0
+                if xu is not None:
                     cons = consistency_loss(up[0], up[1],
                                             config.consistency_mode)
+                    cons_val = cons.item()
                     total = add(total, scale(cons, a))
-            cons_val = cons.item() if joint else 0.0
-            if xu is not None and not joint:
-                # zero weight: the term is only logged, so it stays off the
-                # tape and the labelled graph is the supervised one
-                up = model_forward(model, Tensor(xu))
-                cons_val = consistency_loss(up[0], up[1],
-                                            config.consistency_mode).item()
 
             total_val = total.item()
             if not np.isfinite(total_val):

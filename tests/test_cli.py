@@ -10,7 +10,8 @@ import mismatch.cli as cli
 import mismatch.training as training
 from mismatch.autodiff import Tensor
 from mismatch.cli import main, merge_config, run_training
-from mismatch.data import CASE_OBJECT_BYTES, Case, load_caseset
+from mismatch.data import (CASE_OBJECT_BYTES, TUBE_WORKING_BYTES, Case,
+                           load_caseset)
 from mismatch.errors import NumericalAbort
 from mismatch.metrics import (RELIABILITY_SLICES_COLUMNS, ReliabilityBins,
                               ece, read_metrics_csv, read_reliability_csv,
@@ -103,11 +104,12 @@ def test_gen_data_refuses_a_data_set_beyond_physical_memory(tmp_path,
     # 72 KiB of "physical memory": 4 cases of one 32x32 slice keep exactly
     # 73728 bytes of float64 image and mask plus CASE_OBJECT_BYTES each,
     # and a fifth case is refused before any case is drawn; so are 100
-    # cases of one 4x4 slice, whose 25600 bytes of pixels alone would fit
+    # cases of one 4x4 slice, whose 25600 bytes of pixels alone would fit.
+    # Blobs, since a tube slice's working set adds to the bound (below)
     assert CASE_OBJECT_BYTES == 2048
     pages = {"SC_PHYS_PAGES": 18, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    argv = ["gen-data", "--kind", "tubes", "--slices", "1"]
+    argv = ["gen-data", "--kind", "blobs", "--slices", "1"]
     assert main(argv + ["--size", "32", "--cases", "4",
                         "--out", str(tmp_path / "fits")]) == 0
     capsys.readouterr()
@@ -125,6 +127,38 @@ def test_gen_data_refuses_a_data_set_beyond_physical_memory(tmp_path,
         assert err[0].endswith(f": {nbytes} bytes, over the 73728 bytes of "
                                f"physical memory")
         assert not out.exists()
+
+
+def test_gen_data_counts_the_tube_working_set(tmp_path, monkeypatch, capsys):
+    # drawing a tube slice holds three float64 (size, size, 4*size) arrays:
+    # 96*32**3 = 3145728 bytes at size 32, on top of the 73728 bytes that 4
+    # cases of one 32x32 slice keep. 786 pages hold both exactly; one page
+    # fewer refuses tubes before any case is drawn, but not blobs
+    assert TUBE_WORKING_BYTES == 96
+    argv = ["gen-data", "--cases", "4", "--slices", "1", "--size", "32"]
+    pages = {"SC_PHYS_PAGES": 786, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert main(argv + ["--kind", "tubes", "--out", str(tmp_path / "a")]) == 0
+    pages["SC_PHYS_PAGES"] = 785
+    assert main(argv + ["--kind", "blobs", "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("a case was drawn")
+
+    monkeypatch.setattr("mismatch.data.gen_synthetic_case", never)
+    out = tmp_path / "tubes"
+    assert main(argv + ["--kind", "tubes", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("MM-ERR:")
+    assert err[0].endswith(": 3219456 bytes, over the 3215360 bytes of "
+                           "physical memory")
+    assert not out.exists()
+    # a 4096x4096 tube slice's working set alone is 6 TiB
+    pages["SC_PHYS_PAGES"] = 1 << 20
+    assert main(["gen-data", "--kind", "tubes", "--cases", "4", "--slices",
+                 "1", "--size", "4096", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

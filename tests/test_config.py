@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from mismatch.cli import DEFAULT_CONFIG, main, parse_config_file
-from mismatch.data import TENSOR_MAGIC, read_tensor, write_tensor
+from mismatch.data import (SPLIT_NAMES, TENSOR_MAGIC, read_tensor,
+                           write_tensor)
 from mismatch.nets import init_params
 from mismatch.training import CHECKPOINT_MAGIC, save_checkpoint
 
@@ -29,8 +30,9 @@ def dataset(tmp_path_factory):
     return str(out / "manifest.txt")
 
 
-def _checkpoint(path, echo):
-    save_checkpoint(path, init_params("Sup1", channels=1, seed=0), echo)
+def _checkpoint(path, echo, in_channels=1):
+    save_checkpoint(path, init_params("Sup1", channels=1,
+                                      in_channels=in_channels, seed=0), echo)
     return str(path)
 
 
@@ -224,6 +226,22 @@ def _no_test_split(dataset, tmp_path):
     return str(data / "manifest.txt")
 
 
+def _padded(dataset, tmp_path, pad, splits=SPLIT_NAMES):
+    """A copy of the data set whose cases in `splits` are zero-padded by
+    `pad` pixels on every side."""
+    data = tmp_path / "data"
+    shutil.copytree(os.path.dirname(dataset), data)
+    for line in (data / "manifest.txt").read_text().splitlines():
+        image, _, split = line.split()
+        if split not in splits:
+            continue
+        for suffix in (".image.", ".mask."):
+            path = data / image.replace(".image.", suffix)
+            write_tensor(path, np.pad(read_tensor(path),
+                                      ((0, 0), (0, 0), (pad, pad), (pad, pad))))
+    return str(data / "manifest.txt")
+
+
 @pytest.mark.parametrize("command,flaw", [
     ("train", "config not UTF-8"),
     ("train", "zero slices"),
@@ -233,6 +251,14 @@ def _no_test_split(dataset, tmp_path):
     ("eval", "unknown split"),
     ("calibrate", "unknown split"),
     ("sweep-alpha", "no test split"),
+    ("train", "slices not divisible by 4"),
+    ("eval", "slices not divisible by 4"),
+    ("calibrate", "slices not divisible by 4"),
+    ("sweep-alpha", "slices not divisible by 4"),
+    ("sweep-alpha", "test slices not divisible by 4"),
+    ("train", "a two-channel model"),
+    ("eval", "a two-channel model"),
+    ("train", "pools differ in shape"),
 ])
 def test_commands_reject_malformed_files(dataset, tmp_path, capsys, command,
                                          flaw):
@@ -249,14 +275,29 @@ def test_commands_reject_malformed_files(dataset, tmp_path, capsys, command,
         # init_params refuses it from the layout's arithmetic, allocating
         # nothing
         argv += ["--data", dataset]
+    elif flaw == "slices not divisible by 4":  # 10x10 slices
+        argv += ["--data", _padded(dataset, tmp_path, 1)]
+    elif flaw == "test slices not divisible by 4":  # found before arm one
+        argv += ["--data", _padded(dataset, tmp_path, 1, ["test"])]
+    elif flaw == "a two-channel model":  # on one-channel images
+        argv += ["--data", dataset]
+    elif flaw == "pools differ in shape":  # 16x16 unlabelled, 8x8 labelled
+        argv += ["--data", _padded(dataset, tmp_path, 4,
+                                   ["unlabelled_train"])]
     else:
         argv += ["--data", _empty_case(dataset, tmp_path)]
     if command == "train":
-        argv += ["--variant", "Sup1"] + SMALL
+        argv += ["--variant", "MM" if flaw == "pools differ in shape"
+                 else "Sup1"] + SMALL
         if flaw == "width beyond memory":
             argv += ["--set", "model.channels=100000"]
+        if flaw == "a two-channel model":
+            argv += ["--set", "model.in_channels=2"]
     elif command == "sweep-alpha":
         argv += SMALL
+    elif flaw == "a two-channel model":
+        argv += ["--checkpoint", _checkpoint(
+            tmp_path / "m.ckpt", {**SUP1_ECHO, "model.in_channels": "2"}, 2)]
     else:
         argv += ["--checkpoint", _checkpoint(tmp_path / "m.ckpt", SUP1_ECHO)]
     assert main(argv) == 3

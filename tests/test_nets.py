@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import mismatch.nets as nets
-from mismatch.autodiff import Tape, Tensor, backward, mse, sigmoid
+from mismatch.autodiff import (Tape, Tensor, add, backward, mse, scale, sigmoid,
+                               take_batch)
 from mismatch.errors import (ConfigError, ContractError, DimensionError,
                              ParameterError)
 from mismatch.nets import (PASB_SIDE_DILATION, VARIANTS, _draw, _stage,
@@ -14,7 +15,8 @@ from mismatch.nets import (PASB_SIDE_DILATION, VARIANTS, _draw, _stage,
                            encoder_forward, init_params, model_forward,
                            morph_perturb, named_params, nasb, param_layout,
                            pasb, standard_block)
-from mismatch.training import average_checkpoints, load_model, save_checkpoint
+from mismatch.training import (average_checkpoints, consistency_loss,
+                               dice_loss, load_model, save_checkpoint)
 from gradcheck import check_grads
 from oracles import naive_morph
 
@@ -214,6 +216,33 @@ def test_joint_batch_forward_matches_separate_forwards():
             alone = model_forward(model, Tensor(x))[head].data
             diff = np.max(np.abs(pj.data[half:half + 1] - alone))
             assert diff < 1e-12, (head, half, diff)
+
+    # train's step at zero consistency weight: in float32 each half of the
+    # joint forward is bitwise its own forward, and the zero-weight term
+    # leaves the labelled-only gradient bitwise as it is
+    for variant in ("MM", "MM-a", "MM-b", "Morph"):
+        for n in (1, 2):
+            model = init_params(variant, channels=4, seed=2)
+            x = rng.standard_normal((2 * n, 1, 16, 16)).astype(np.float32)
+            y = (rng.random((n, 1, 16, 16)) < 0.3).astype(np.float32)
+            with Tape():
+                joint = model_forward(model, Tensor(x))
+                lab = [take_batch(p, 0, n) for p in joint]
+                unl = [take_batch(p, n, 2 * n) for p in joint]
+                total = add(add(dice_loss(lab[0], y), dice_loss(lab[1], y)),
+                            scale(consistency_loss(unl[0], unl[1]), 0.0))
+            backward(total)
+            joint_grad = model.flat.grad.copy()
+            model.flat.grad[...] = 0
+            with Tape():
+                alone = model_forward(model, Tensor(x[:n]))
+                total = add(dice_loss(alone[0], y), dice_loss(alone[1], y))
+            backward(total)
+            np.testing.assert_array_equal(joint_grad, model.flat.grad)
+            unl_alone = model_forward(model, Tensor(x[n:]))
+            for pj, pl, pu in zip(joint, alone, unl_alone):
+                np.testing.assert_array_equal(pj.data[:n], pl.data)
+                np.testing.assert_array_equal(pj.data[n:], pu.data)
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))

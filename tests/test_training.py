@@ -35,17 +35,17 @@ class StubStream:
         return out
 
 
-def _labelled_stub(rng, n=2, size=8):
+def _labelled_stub(rng, n=2, size=8, batch=1):
     batches = []
     for _ in range(n):
-        x = rng.standard_normal((1, 1, size, size)).astype(np.float32)
-        y = (rng.random((1, 1, size, size)) < 0.3).astype(np.float32)
+        x = rng.standard_normal((batch, 1, size, size)).astype(np.float32)
+        y = (rng.random((batch, 1, size, size)) < 0.3).astype(np.float32)
         batches.append((x, y))
     return StubStream(batches)
 
 
-def _unlabelled_stub(rng, n=2, size=8):
-    return StubStream([(rng.standard_normal((1, 1, size, size))
+def _unlabelled_stub(rng, n=2, size=8, batch=1):
+    return StubStream([(rng.standard_normal((batch, 1, size, size))
                         .astype(np.float32), None) for _ in range(n)])
 
 
@@ -305,20 +305,26 @@ def test_train_epoch_length_follows_unlabelled_stream():
 
 
 def test_train_alpha_zero_matches_supervised_bitwise():
+    # the labelled half of the joint forward is bitwise the labelled-only
+    # forward, and the zero-weight consistency term adds an exactly +-0
+    # gradient, so the run is the supervised one at either batch size
     rng = np.random.default_rng(67)
-    lab = _labelled_stub(rng, n=2)
-    unlab = _unlabelled_stub(rng, n=2)
-    cfg = TrainConfig(epochs=2, channels=2, alpha_max=0.0)
-    semi = init_params("MM", channels=2, seed=11)
-    sup = init_params("MM", channels=2, seed=11)
-    semi_f, _, semi_hist = train(cfg, semi, StubStream(lab.batches), unlab)
-    sup_f, _, sup_hist = train(cfg, sup, StubStream(lab.batches))
-    for (n, a), (_, b) in zip(named_params(semi_f), named_params(sup_f)):
-        np.testing.assert_array_equal(a.data, b.data, err_msg=n)
-    assert [r.total for r in semi_hist] == [r.total for r in sup_hist]
-    # the off-graph consistency value is still logged for the record
-    assert all(r.consistency > 0 for r in semi_hist)
-    assert all(r.consistency == 0 for r in sup_hist)
+    for batch in (1, 2):
+        lab = _labelled_stub(rng, n=2, batch=batch)
+        unlab = _unlabelled_stub(rng, n=2, batch=batch)
+        cfg = TrainConfig(epochs=2, channels=2, alpha_max=0.0,
+                          batch_size=batch)
+        semi = init_params("MM", channels=2, seed=11)
+        sup = init_params("MM", channels=2, seed=11)
+        semi_f, _, semi_hist = train(cfg, semi, StubStream(lab.batches),
+                                     unlab)
+        sup_f, _, sup_hist = train(cfg, sup, StubStream(lab.batches))
+        for (n, a), (_, b) in zip(named_params(semi_f), named_params(sup_f)):
+            np.testing.assert_array_equal(a.data, b.data, err_msg=n)
+        assert [r.total for r in semi_hist] == [r.total for r in sup_hist]
+        # the zero-weighted consistency value is still logged for the record
+        assert all(r.consistency > 0 for r in semi_hist)
+        assert all(r.consistency == 0 for r in sup_hist)
 
 
 def test_train_stop_gradient_audit_passes_on_real_loss():
