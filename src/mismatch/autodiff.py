@@ -1,11 +1,11 @@
 """Reverse-mode automatic differentiation on dense numpy arrays.
 
 Carries exactly the op set the segmentation nets need: dilated 3x3
-convolution, instance normalisation, 2x2 max pooling, x2 bilinear
-upsampling, channel concat, pointwise arithmetic and MSE. Ops record onto
-an ambient Tape (see `Tape`); with no active tape they run value-only,
-which is the evaluation path. Numerical checks run in float64, training
-in float32; dtype follows the operands.
+convolution, instance normalisation, their conv -> relu -> norm stage,
+2x2 max pooling, x2 bilinear upsampling, channel concat, pointwise
+arithmetic and MSE. Ops record onto an ambient Tape (see `Tape`); with no
+active tape they run value-only, which is the evaluation path. Numerical
+checks run in float64, training in float32; dtype follows the operands.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .errors import DimensionError, GraphError, ParameterError
 __all__ = [
     "Tensor", "Tape", "active_tape", "as_tensor", "record_op", "backward",
     "add", "mul", "scale", "mse", "relu", "sigmoid", "stop_gradient",
-    "concat_channels", "take_batch", "window_extreme", "maxpool2",
-    "upsample_bilinear2", "instance_norm", "conv2d", "same_padding",
+    "concat_channels", "take_batch", "window_extreme", "maxpool2", "conv2d",
+    "upsample_bilinear2", "instance_norm", "conv_relu_norm", "same_padding",
 ]
 
 
@@ -392,15 +392,21 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """
     if x.data.ndim != 4:
         raise DimensionError("instance_norm expects NCHW input")
-    n, c, h, w = x.shape
+    out, bw = _norm(x.data.copy(), gamma, beta)
+    return record_op("instance_norm", (x, gamma, beta), out, bw)
+
+
+def _norm(y: np.ndarray, gamma: Tensor, beta: Tensor):
+    """instance_norm of NCHW `y`, in place, as (output, backward)."""
+    n, c, h, w = y.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError(f"instance_norm: affine shapes {gamma.shape}/"
                              f"{beta.shape} do not match {c} channels")
-    # statistics over a flat (n, c, h*w) view; the variance comes from the
-    # centred values, which become xhat in place
+    # statistics over a flat (n, c, h*w) view, the mean in np.mean's bits;
+    # the variance comes from the centred values, which become xhat in place
     size = h * w
-    xhat = x.data.reshape(n, c, size)
-    xhat = xhat - xhat.mean(axis=-1, keepdims=True)
+    xhat = y.reshape(n, c, size)
+    xhat -= np.add.reduce(xhat, -1, keepdims=True) / size
     var = np.einsum("ncl,ncl->nc", xhat, xhat)[:, :, None] / size
     inv = 1.0 / np.sqrt(var + _NORM_EPS)
     xhat *= inv
@@ -416,8 +422,7 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         gx *= inv * gamma.data[:, None]
         return (gx.reshape(n, c, h, w), gxsum.sum(axis=0), gsum.sum(axis=0))
 
-    return record_op("instance_norm", (x, gamma, beta),
-                     out.reshape(n, c, h, w), bw)
+    return out.reshape(n, c, h, w), bw
 
 
 def same_padding(kernel: int, dilation: int = 1) -> int:
@@ -531,6 +536,33 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int,
     over the forward's columns; the quadruple-loop definition is kept in
     the test suite as the oracle.
     """
+    out, bw = _conv(x, w, b, padding, dilation)
+    return record_op("conv2d", (x, w, b), out, bw)
+
+
+def conv_relu_norm(x: Tensor, w: Tensor, b: Tensor, gamma: Tensor,
+                   beta: Tensor, padding: int, dilation: int = 1) -> Tensor:
+    """instance_norm(relu(conv2d(...)), gamma, beta) as one tape node, bit
+    for bit in values and gradients: relu and the norm run in place on the
+    fresh conv output, and only a recorded call keeps relu's mask."""
+    records = _records(active_tape(), (x, w, b, gamma, beta))
+    y, conv_bw = _conv(x, w, b, padding, dilation)
+    np.maximum(y, 0, out=y)
+    mask = y > 0 if records else None  # where the conv output was > 0
+    out, norm_bw = _norm(y, gamma, beta)
+    if not records:
+        return Tensor(out)
+
+    def bw(g):
+        gy, ggamma, gbeta = norm_bw(g)
+        gy *= mask
+        return (*conv_bw(gy), ggamma, gbeta)
+
+    return record_op("conv_relu_norm", (x, w, b, gamma, beta), out, bw)
+
+
+def _conv(x: Tensor, w: Tensor, b: Tensor, padding: int, dilation: int):
+    """conv2d as (a fresh output array, backward)."""
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError("conv2d expects NCHW input and OIHW weights")
     n, c, h, wd = x.shape
@@ -562,17 +594,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int,
     # (ki, kj) at flat offset i*wp + j + ki*d*wp + kj*d from its grid's
     # start, so each tap is one strided (c, ho*wp) view per sample, and
     # the output comes out NCHW. The columns past wo wrap into the next
-    # row and are dropped. The tail keeps the last tap's view in bounds.
+    # row; the bias add writes the output without them. The tail keeps the
+    # last tap's view in bounds.
     hp, wp = h + 2 * p, wd + 2 * p
     m, tail = n * hp * wp, (eff - 1) * (wp + 1)
     xf = _flat_grid(x.data, hp, wp, p, tail)
     taps = w.data.transpose(2, 3, 0, 1)
     xv = _tap_view(xf, k, d, wp, n, ho * wp, hp * wp)
     out = _conv_flat(taps, xv)
-    out += b.data[:, None]
-    out = np.ascontiguousarray(out.reshape(n, o, ho, wp)[..., :wo])
-    if not _records(active_tape(), (x, w, b)):
-        return Tensor(out)
+    out = np.add(out.reshape(n, o, ho, wp)[..., :wo], b.data[:, None, None])
     needs_gx = x.requires_grad
 
     def bw(g):
@@ -594,4 +624,4 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int,
                         _tap_view(gp, k, d, wp, n, h * wp, hp * wp, p * wp))
         return (gx.reshape(n, c, h, wp)[..., p:p + wd], gw, gb)
 
-    return record_op("conv2d", (x, w, b), out, bw)
+    return out, bw

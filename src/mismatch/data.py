@@ -504,6 +504,10 @@ CASE_OBJECT_BYTES = 2048
 # hold at their peak: three of them. Drawing one tube slice grew peak RSS
 # by 199 MiB at size 128 and 656 MiB at size 192 (192 and 648 predicted).
 TUBE_WORKING_BYTES = 96
+# Bytes per size**2 that _blob_slice's float64 (size, size) arrays hold at
+# their peak: about ten of them. Drawing one blob slice grew peak RSS by
+# 19.8 MiB at size 512 and 74.3 MiB at size 1024 (20 and 80 predicted).
+BLOB_WORKING_BYTES = 80
 
 
 def gen_caseset(seed: int, kind: str, n_cases: int, slices: int, size: int,
@@ -514,11 +518,10 @@ def gen_caseset(seed: int, kind: str, n_cases: int, slices: int, size: int,
     counts = split_counts(n_cases)
     _check_case_params(kind, slices, size, noise_sigma)
     # every case keeps a float64 image and mask, and its objects, and a
-    # tube slice is drawn in a working set of its own; Python ints never
-    # wrap
+    # slice is drawn in a working set of its own; Python ints never wrap
     nbytes = n_cases * (slices * size * size * 16 + CASE_OBJECT_BYTES)
-    if kind == "tubes":
-        nbytes += TUBE_WORKING_BYTES * size ** 3
+    nbytes += (TUBE_WORKING_BYTES * size ** 3 if kind == "tubes"
+               else BLOB_WORKING_BYTES * size ** 2)
     check_memory(nbytes, f"{n_cases} cases of {slices} {size}x{size} slices")
     ss = np.random.SeedSequence(seed).spawn(n_cases)
     order = [name for name in SPLIT_NAMES for _ in range(counts[name])]

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, add, concat_channels, conv2d, instance_norm,
-                       maxpool2, mul, relu, same_padding, scale, sigmoid,
+from .autodiff import (Tensor, add, concat_channels, conv2d, conv_relu_norm,
+                       maxpool2, mul, same_padding, scale, sigmoid,
                        upsample_bilinear2, window_extreme)
 from .data import check_memory
 from .errors import ConfigError, ContractError, DimensionError, ParameterError
@@ -72,10 +72,10 @@ class Model:
 def _stage(x, params, name: str, dilation: int = 1):
     # conv -> relu -> norm, the unit every block is assembled from
     w = params[f"{name}.w"]
-    pad = same_padding(w.shape[2], dilation)
-    h = conv2d(x, w, params[f"{name}.b"], padding=pad, dilation=dilation)
-    return instance_norm(relu(h), params[f"{name}.gamma"],
-                         params[f"{name}.beta"])
+    return conv_relu_norm(x, w, params[f"{name}.b"], params[f"{name}.gamma"],
+                          params[f"{name}.beta"],
+                          padding=same_padding(w.shape[2], dilation),
+                          dilation=dilation)
 
 
 def _check_side_branch(params, prefix: str, who: str, wanted: bool):

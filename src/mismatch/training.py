@@ -269,10 +269,10 @@ def train(config: TrainConfig, model: Model, labelled_stream,
     heads, weighted by the warm-up schedule); both batches share one
     forward pass. Epoch length follows the unlabelled stream when
     present, the labelled stream otherwise; the labelled stream cycles
-    independently of epoch boundaries. A non-finite loss or gradient
-    raises NumericalAbort before Adam changes any parameter. Returns
-    (final params, averaged params over the last save_last_k epoch-end
-    snapshots, history rows).
+    independently of epoch boundaries. A non-finite loss or gradient, or
+    a gradient whose square overflows, raises NumericalAbort before Adam
+    changes any parameter. Returns (final params, averaged params over
+    the last save_last_k epoch-end snapshots, history rows).
 
     With stop_gradient_audit=True each step additionally differentiates
     each consistency summand alone and verifies the detached head's own
@@ -348,9 +348,15 @@ def train(config: TrainConfig, model: Model, labelled_stream,
                 raise NumericalAbort(f"non-finite loss {total_val} at step "
                                      f"{step}", step=step)
             backward(total)
-            if not np.isfinite(model.flat.grad).all():
-                raise NumericalAbort(f"non-finite gradient at step {step}",
-                                     step=step)
+            # g @ g is finite only if every g and every g*g is: a square
+            # that overflows would make Adam's second moment inf and
+            # silently freeze its parameter
+            g = model.flat.grad
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.isfinite(g @ g):
+                    raise NumericalAbort(f"non-finite gradient at step {step}"
+                                         f", or one whose square overflows",
+                                         step=step)
             adam_step(model.flat, state, config.lr)
             zero_grads([("params", model.flat)])
             history.append(HistoryRow(step, epoch, d1.item(), d2_val,

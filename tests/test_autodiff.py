@@ -6,13 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mismatch.autodiff import (_BLOCK_BYTES, Tape, Tensor, add, backward,
-                               concat_channels, conv2d, instance_norm,
-                               maxpool2, mse, mul, relu, same_padding, scale,
-                               sigmoid, stop_gradient, take_batch,
-                               upsample_bilinear2)
+import mismatch.nets as nets
+from mismatch.autodiff import (_BLOCK_BYTES, _NORM_EPS, Tape, Tensor, add,
+                               backward, concat_channels, conv2d,
+                               conv_relu_norm, instance_norm, maxpool2, mse,
+                               mul, relu, same_padding, scale, sigmoid,
+                               stop_gradient, take_batch, upsample_bilinear2)
 from mismatch.errors import DimensionError, GraphError, ParameterError
-from mismatch.nets import morph_perturb
+from mismatch.nets import init_params, model_forward, morph_perturb
 from gradcheck import check_grads
 from oracles import (argmax_maxpool2, argmax_morph, col2im_conv2d_input_grad,
                      naive_conv2d, naive_maxpool2, naive_upsample_bilinear2,
@@ -160,6 +161,72 @@ def test_recorded_conv2d_keeps_no_column_buffer():
     assert retained < cols_bytes / 4, retained
     gx, gw, _ = tape.nodes[-1].backward_fn(np.ones_like(out.data))
     assert gx.shape == x.shape and gw.shape == w.shape
+
+
+# Every conv -> relu -> norm stage of an MM step: MM_STEP_CONVS but the
+# 1x1 head, at the joint batch of 2, as (n, c, o, side, kernel, padding,
+# dilation).
+MM_STEP_STAGES = [(2, *s) for s in MM_STEP_CONVS if s[3] == 3]
+
+
+def _stage(fused, arrays, padding, dilation, record, x_grad):
+    """The stage's output and, if `record`, the gradients that reach x, w,
+    b, gamma and beta from a fixed output gradient, through the one stage
+    op or through conv2d, relu and instance_norm node by node."""
+    x, w, b, gamma, beta = (Tensor(a.copy(), requires_grad=record)
+                            for a in arrays)
+    x.requires_grad = record and x_grad
+    with Tape() as tape:
+        if fused:
+            out = conv_relu_norm(x, w, b, gamma, beta, padding, dilation)
+        else:
+            out = instance_norm(relu(conv2d(x, w, b, padding, dilation)),
+                                gamma, beta)
+    if not record:
+        assert not tape.nodes
+        return [out.data]
+    g = np.random.default_rng(3).standard_normal(out.shape).astype(out.dtype)
+    if fused:
+        (node,) = tape.nodes
+        return [out.data, *node.backward_fn(g)]
+    conv, rl, norm = tape.nodes
+    gy, ggamma, gbeta = norm.backward_fn(g)
+    return [out.data, *conv.backward_fn(*rl.backward_fn(gy)), ggamma, gbeta]
+
+
+def test_mm_step_stages_are_listed(monkeypatch):
+    seen, real = set(), nets.conv_relu_norm
+
+    def spy(x, w, b, gamma, beta, padding, dilation=1):
+        n, c, side, _ = x.shape
+        seen.add((n, c, w.shape[0], side, w.shape[2], padding, dilation))
+        return real(x, w, b, gamma, beta, padding, dilation)
+
+    monkeypatch.setattr(nets, "conv_relu_norm", spy)
+    model_forward(init_params("MM", channels=8),
+                  Tensor(np.zeros((2, 1, 32, 32), np.float32)))
+    assert seen == set(MM_STEP_STAGES)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_relu_norm_equals_the_three_ops_bitwise(dtype):
+    # values and all five gradients, recorded and value-only, on every
+    # stage shape of an MM step; the image stage's input needs no gradient
+    rng = np.random.default_rng(43)
+    for n, c, o, side, k, p, d in MM_STEP_STAGES:
+        arrays = [rng.standard_normal((n, c, side, side)),
+                  rng.standard_normal((o, c, k, k)) / np.sqrt(c * k * k),
+                  rng.standard_normal(o) * 0.1,
+                  rng.standard_normal(o) + 1.0, rng.standard_normal(o)]
+        arrays = [a.astype(dtype) for a in arrays]
+        for record in (False, True):
+            got = _stage(True, arrays, p, d, record, x_grad=c > 1)
+            want = _stage(False, arrays, p, d, record, x_grad=c > 1)
+            assert len(got) == len(want) == (6 if record else 1)
+            for a, b in zip(got, want):
+                assert a is b is None or _same_bits(a, b), (c, o, side, d)
+            if record:
+                assert (got[1] is None) == (c == 1)
 
 
 def test_conv2d_input_grad_matches_col2im_oracle():
@@ -437,6 +504,24 @@ def test_instance_norm_normalises_and_affine_applies():
     np.testing.assert_allclose(shifted, out * 2.0 + 7.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_instance_norm_is_the_np_mean_formula_bitwise(dtype):
+    # the norm kernel's mean, np.add.reduce over the row divided by its
+    # length, must give np.mean's bits
+    rng = np.random.default_rng(16)
+    for shape in [(2, 8, 32, 32), (1, 3, 5, 7), (2, 16, 8, 8), (1, 2, 1, 1)]:
+        x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+        gamma = (rng.standard_normal(shape[1]) + 1).astype(dtype)
+        beta = rng.standard_normal(shape[1]).astype(dtype)
+        flat = x.reshape(*shape[:2], -1)
+        xhat = flat - flat.mean(axis=-1, keepdims=True)
+        var = np.einsum("ncl,ncl->nc", xhat, xhat)[:, :, None] / flat.shape[-1]
+        xhat *= 1.0 / np.sqrt(var + _NORM_EPS)
+        want = xhat * gamma[:, None] + beta[:, None]
+        got = instance_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
+        assert _same_bits(got, want.reshape(shape))
+
+
 def test_instance_norm_unit_spatial_collapses_to_beta():
     out = instance_norm(Tensor(np.full((1, 2, 1, 1), 5.0)),
                         Tensor(np.ones(2)), Tensor(np.array([3.0, -1.0])))
@@ -531,6 +616,21 @@ def test_grad_instance_norm():
     err = check_grads(lambda: mse(instance_norm(x, gamma, beta), r),
                       [x, gamma, beta])
     assert err < 1e-5
+
+
+def test_grad_conv_relu_norm():
+    rng = np.random.default_rng(33)
+    for d in (1, 2):
+        x = leaf(rng, 2, 2, 7, 7)
+        w = leaf(rng, 3, 2, 3, 3)
+        b = leaf(rng, 3)
+        gamma = Tensor(rng.standard_normal(3) + 1.5, requires_grad=True)
+        beta = leaf(rng, 3)
+        r = Tensor(rng.standard_normal((2, 3, 7, 7)))
+        err = check_grads(
+            lambda: mse(conv_relu_norm(x, w, b, gamma, beta, d, d), r),
+            [x, w, b, gamma, beta])
+        assert err < 1e-5
 
 
 def test_grad_maxpool2():

@@ -10,8 +10,8 @@ import mismatch.cli as cli
 import mismatch.training as training
 from mismatch.autodiff import Tensor
 from mismatch.cli import main, merge_config, run_training
-from mismatch.data import (CASE_OBJECT_BYTES, TUBE_WORKING_BYTES, Case,
-                           load_caseset)
+from mismatch.data import (BLOB_WORKING_BYTES, CASE_OBJECT_BYTES,
+                           TUBE_WORKING_BYTES, Case, load_caseset)
 from mismatch.errors import NumericalAbort
 from mismatch.metrics import (RELIABILITY_SLICES_COLUMNS, ReliabilityBins,
                               ece, read_metrics_csv, read_reliability_csv,
@@ -101,13 +101,13 @@ def test_gen_data_rejects_bad_size(tmp_path, capsys):
 def test_gen_data_refuses_a_data_set_beyond_physical_memory(tmp_path,
                                                             monkeypatch,
                                                             capsys):
-    # 72 KiB of "physical memory": 4 cases of one 32x32 slice keep exactly
+    # 152 KiB of "physical memory": 4 cases of one 32x32 slice keep exactly
     # 73728 bytes of float64 image and mask plus CASE_OBJECT_BYTES each,
-    # and a fifth case is refused before any case is drawn; so are 100
-    # cases of one 4x4 slice, whose 25600 bytes of pixels alone would fit.
-    # Blobs, since a tube slice's working set adds to the bound (below)
+    # next to the 81920 bytes of drawing one 32x32 blob slice (below), and
+    # a fifth case is refused before any case is drawn; so are 100 cases
+    # of one 4x4 slice, whose 25600 bytes of pixels alone would fit
     assert CASE_OBJECT_BYTES == 2048
-    pages = {"SC_PHYS_PAGES": 18, "SC_PAGE_SIZE": 4096}
+    pages = {"SC_PHYS_PAGES": 38, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     argv = ["gen-data", "--kind", "blobs", "--slices", "1"]
     assert main(argv + ["--size", "32", "--cases", "4",
@@ -118,15 +118,42 @@ def test_gen_data_refuses_a_data_set_beyond_physical_memory(tmp_path,
         raise AssertionError("a case was drawn")
 
     monkeypatch.setattr("mismatch.data.gen_synthetic_case", never)
-    for size, cases, nbytes in (("32", "5", 92160), ("4", "100", 230400)):
+    for size, cases, nbytes in (("32", "5", 174080), ("4", "100", 231680)):
         out = tmp_path / f"big{cases}"
         assert main(argv + ["--size", size, "--cases", cases,
                             "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("MM-ERR:")
-        assert err[0].endswith(f": {nbytes} bytes, over the 73728 bytes of "
+        assert err[0].endswith(f": {nbytes} bytes, over the 155648 bytes of "
                                f"physical memory")
         assert not out.exists()
+
+
+def test_gen_data_counts_the_blob_working_set(tmp_path, monkeypatch, capsys):
+    # drawing a blob slice holds about ten float64 (size, size) arrays:
+    # 80*32**2 = 81920 bytes at size 32, on top of the 73728 bytes that 4
+    # cases of one 32x32 slice keep. 38 pages hold both exactly; one page
+    # fewer refuses blobs before any case is drawn
+    assert BLOB_WORKING_BYTES == 80
+    argv = ["gen-data", "--kind", "blobs", "--cases", "4", "--slices", "1",
+            "--size", "32"]
+    pages = {"SC_PHYS_PAGES": 38, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("a case was drawn")
+
+    monkeypatch.setattr("mismatch.data.gen_synthetic_case", never)
+    pages["SC_PHYS_PAGES"] = 37
+    out = tmp_path / "blobs"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("MM-ERR:")
+    assert err[0].endswith(": 155648 bytes, over the 151552 bytes of "
+                           "physical memory")
+    assert not out.exists()
 
 
 def test_gen_data_counts_the_tube_working_set(tmp_path, monkeypatch, capsys):
@@ -270,6 +297,35 @@ def test_train_non_finite_gradient_exit_code(dataset, tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith("MM-ERR:"), err
     assert "non-finite gradient at step 3" in err[0]
     assert not list(tmp_path.rglob("history.csv"))
+
+
+def test_train_refuses_a_gradient_whose_square_overflows(dataset, tmp_path,
+                                                        capsys, monkeypatch):
+    # at alpha 1e30 the gradient stays finite, near 1e29, but its square
+    # overflows float32: Adam's second moment would turn inf and silently
+    # freeze those parameters, and train would exit 0
+    models, real_init = [], cli.init_params
+    real_backward, finite = training.backward, []
+
+    def init(*args, **kw):
+        models.append(real_init(*args, **kw))
+        return models[-1]
+
+    def watched(loss):
+        real_backward(loss)
+        finite.append(bool(np.isfinite(models[0].flat.grad).all()))
+
+    monkeypatch.setattr(cli, "init_params", init)
+    monkeypatch.setattr(training, "backward", watched)
+    rc = main(["train", "--variant", "MM", "--data", dataset,
+               "--out", str(tmp_path / "x"),
+               "--set", "loss.alpha_max=1e30"] + FAST)
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("MM-ERR:"), err
+    assert "whose square overflows" in err[0]
+    assert finite and all(finite)
+    assert not list(tmp_path.rglob("*.ckpt"))
 
 
 def test_train_rejects_batch_larger_than_pool(dataset, tmp_path, capsys):
@@ -435,6 +491,31 @@ def test_non_finite_last_chunk_exits_before_any_file(tmp_path, monkeypatch,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("MM-ERR:"), err
     assert not list((tmp_path / "out").rglob("*"))
+
+
+def test_bins_beyond_physical_memory_are_refused_before_out(
+        trained_mm, dataset, tmp_path, monkeypatch, capsys):
+    # the test split is one case of 2 slices: eval scores one head's 3
+    # reliability diagrams (2 slices and the pooled one), calibrate three
+    # heads' 9. At BIN_BYTES per bin and diagram, one 4 KiB page holds 17
+    # bins for eval and 5 for calibrate, and one bin more is refused
+    assert cli.BIN_BYTES == 80
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1,
+                                        "SC_PAGE_SIZE": 4096}.__getitem__)
+    ckpt = os.path.join(trained_mm, "averaged.ckpt")
+    for command, fits, diagrams in (("eval", 17, 3), ("calibrate", 5, 9)):
+        argv = [command, "--checkpoint", ckpt, "--data", dataset]
+        assert main(argv + ["--bins", str(fits),
+                            "--out", str(tmp_path / command)]) == 0
+        capsys.readouterr()
+        out = tmp_path / f"{command}_refused"
+        assert main(argv + ["--bins", str(fits + 1), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("MM-ERR:")
+        assert err[0].endswith(f"for {diagrams} reliability diagrams: "
+                               f"{80 * (fits + 1) * diagrams} bytes, over "
+                               f"the 4096 bytes of physical memory")
+        assert not out.exists()
 
 
 def test_eval_missing_checkpoint(dataset, tmp_path, capsys):

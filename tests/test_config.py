@@ -183,6 +183,9 @@ def test_readers_reject_oversized_dims(dataset, tmp_path, capsys, dims):
     (["gen-data", "--kind", "tubes", "--seed", "-1"], "manifest.txt"),
     (["gen-data", "--kind", "tubes", "--cases", "1000000000", "--slices", "0"],
      "manifest.txt"),
+    (["calibrate", "--bins", "100000000000000000000"], "calibration.csv"),
+    (["eval", "--bins", "100000000000000000000"], "per_image.csv"),
+    (["sweep-alpha", "--bins", "100000000000000000000"], "history.csv"),
 ])
 def test_commands_reject_malformed_arguments(dataset, tmp_path, monkeypatch,
                                              capsys, argv, output):

@@ -292,19 +292,19 @@ def test_average_prediction_averages_heads():
 
 
 def _side_dilations(monkeypatch, model, index):
-    """Dilation of every side-branch conv in decoder `index`'s forward."""
+    """Dilation of every side-branch stage in decoder `index`'s forward."""
     side_ws = {id(t) for n, t in model.params.items()
                if n.startswith(f"dec{index}.") and ".side" in n}
     seen = []
-    real = nets.conv2d
+    real = nets.conv_relu_norm
 
-    def spy(x, w, b, padding, dilation=1):
+    def spy(x, w, b, gamma, beta, padding, dilation=1):
         if id(w) in side_ws:
             seen.append(dilation)
-        return real(x, w, b, padding=padding, dilation=dilation)
+        return real(x, w, b, gamma, beta, padding=padding, dilation=dilation)
 
     with monkeypatch.context() as m:
-        m.setattr(nets, "conv2d", spy)
+        m.setattr(nets, "conv_relu_norm", spy)
         bottleneck, skips = encoder_forward(Tensor(np.zeros((1, 1, 8, 8))),
                                             model.params)
         decoder_forward(bottleneck, skips, model.params, f"dec{index}",
