@@ -20,6 +20,7 @@ from .errors import ConfigError, FormatError, ParameterError
 TENSOR_MAGIC = b"MMTENS01"
 SPLIT_NAMES = ("labelled_train", "unlabelled_train", "validation", "test")
 KINDS = ("tubes", "blobs")
+F32_MAX = float(np.finfo(np.float32).max)
 IMAGE_SUFFIX = ".image.mmt"
 MASK_SUFFIX = ".mask.mmt"
 
@@ -61,9 +62,15 @@ class CaseSet:
 # synthetic slices
 
 def _tube_slice(rng, size: int) -> np.ndarray:
-    """1-3 smooth curves (quadratic Bezier) stamped with radius 1-3 px."""
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
-    mask = np.zeros((size, size), dtype=bool)
+    """1-3 smooth curves (quadratic Bezier) stamped with radius 1-3 px.
+
+    Each of a curve's 4*size points sets the pixels within the radius of
+    it. Only the window floor(point) - ceil(radius) .. floor(point) +
+    ceil(radius) + 1 is tested, which holds every such pixel; the window
+    is drawn on a canvas padded by 4 = ceil(3) + 1 on every side."""
+    pad = 4
+    canvas = np.zeros((size + 2 * pad, size + 2 * pad), dtype=bool)
+    t = np.linspace(0.0, 1.0, 4 * size)[:, None]
     for _ in range(int(rng.integers(1, 4))):
         p0 = rng.uniform(0, size - 1, 2)
         p2 = rng.uniform(0, size - 1, 2)
@@ -71,12 +78,15 @@ def _tube_slice(rng, size: int) -> np.ndarray:
             p2 = rng.uniform(0, size - 1, 2)
         p1 = rng.uniform(0, size - 1, 2)
         radius = rng.uniform(1.0, 3.0)
-        t = np.linspace(0.0, 1.0, 4 * size)[:, None]
         pts = (1 - t) ** 2 * p0 + 2 * t * (1 - t) * p1 + t ** 2 * p2
-        d2 = ((yy[..., None] - pts[:, 0]) ** 2
-              + (xx[..., None] - pts[:, 1]) ** 2)
-        mask |= d2.min(axis=-1) <= radius * radius
-    return mask
+        r = math.ceil(radius)
+        # (points, axis, offset) pixel coordinates and squared distances
+        win = np.floor(pts).astype(np.intp)[:, :, None] + np.arange(-r, r + 2)
+        d2 = (win - pts[:, :, None]) ** 2
+        i, a, b = np.nonzero(d2[:, 0, :, None] + d2[:, 1, None, :]
+                             <= radius * radius)
+        canvas[win[i, 0, a] + pad, win[i, 1, b] + pad] = True
+    return canvas[pad:-pad, pad:-pad]
 
 
 def _blob_slice(rng, size: int) -> np.ndarray:
@@ -121,7 +131,8 @@ def gen_synthetic_case(seed, kind: str, slices: int, size: int,
 
     Foreground is +1.0 over zero background; Gaussian noise of the given
     sigma is added on top, so with noise_sigma=0 the image equals the mask.
-    Slices are redrawn until the mask is non-empty.
+    Slices are redrawn until the mask is non-empty. Noise that draws a
+    pixel beyond the float32 range of the image files is a ParameterError.
     """
     _check_case_params(kind, slices, size, noise_sigma)
     rng = np.random.default_rng(seed)
@@ -135,10 +146,13 @@ def gen_synthetic_case(seed, kind: str, slices: int, size: int,
                 break
         else:
             raise ConfigError("failed to draw a non-empty mask in 100 tries")
-        img = m.astype(np.float64)
+        img = images[s, 0]
+        img[...] = m
         if noise_sigma > 0:
-            img = img + rng.normal(0.0, noise_sigma, (size, size))
-        images[s, 0] = img
+            img += rng.normal(0.0, noise_sigma, (size, size))
+            if not (-F32_MAX <= img.min() and img.max() <= F32_MAX):
+                raise ParameterError(f"noise_sigma {noise_sigma} drew pixels "
+                                     f"beyond the float32 range")
         masks[s, 0] = m
     return Case(case_id=case_id, image=images, mask=masks, labelled=labelled)
 
@@ -500,10 +514,13 @@ def check_memory(nbytes: int, what: str, error=ParameterError) -> None:
 # seed sequence. gen_caseset's peak RSS grew by 1,241-1,713 B per case
 # beyond the pixels (10,000-40,000 cases of 4x4 to 16x16 slices).
 CASE_OBJECT_BYTES = 2048
-# Bytes per size**3 that _tube_slice's float64 (size, size, 4*size) arrays
-# hold at their peak: three of them. Drawing one tube slice grew peak RSS
-# by 199 MiB at size 128 and 656 MiB at size 192 (192 and 648 predicted).
-TUBE_WORKING_BYTES = 96
+# Bytes per size**2 that drawing one tube slice holds at its peak: its
+# bool canvas, the point windows (about 7 KB per row) and then the float64
+# noise (8). After a warm-up case, one-slice tube cases grew peak RSS by
+# 0.9-5.9 B per pixel beyond their 16 B of pixels at sizes 512-2048, and
+# three-slice ones by 2.1-12.7 B. Below size 512 the windows outgrow the
+# term, by under 1 MB.
+TUBE_WORKING_BYTES = 16
 # Bytes per size**2 that _blob_slice's float64 (size, size) arrays hold at
 # their peak: about ten of them. Drawing one blob slice grew peak RSS by
 # 19.8 MiB at size 512 and 74.3 MiB at size 1024 (20 and 80 predicted).
@@ -515,13 +532,16 @@ def gen_caseset(seed: int, kind: str, n_cases: int, slices: int, size: int,
     """Generate a full case set split 1/3/1/5 in generation order."""
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
+    if n_cases < 4:
+        raise ParameterError(f"need at least 4 cases to cover all splits, "
+                             f"got {n_cases}")
     counts = split_counts(n_cases)
     _check_case_params(kind, slices, size, noise_sigma)
     # every case keeps a float64 image and mask, and its objects, and a
     # slice is drawn in a working set of its own; Python ints never wrap
     nbytes = n_cases * (slices * size * size * 16 + CASE_OBJECT_BYTES)
-    nbytes += (TUBE_WORKING_BYTES * size ** 3 if kind == "tubes"
-               else BLOB_WORKING_BYTES * size ** 2)
+    nbytes += (TUBE_WORKING_BYTES if kind == "tubes"
+               else BLOB_WORKING_BYTES) * size ** 2
     check_memory(nbytes, f"{n_cases} cases of {slices} {size}x{size} slices")
     ss = np.random.SeedSequence(seed).spawn(n_cases)
     order = [name for name in SPLIT_NAMES for _ in range(counts[name])]

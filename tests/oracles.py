@@ -90,6 +90,27 @@ def col2im_conv2d_input_grad(g, w, x_shape, padding, dilation):
     return gxp[:, :, p:p + h, p:p + wd]
 
 
+def dense_tube_slice(rng, size):
+    """data._tube_slice as every pixel against every curve point: the same
+    draws in the same order, and the squared distance to each of the 4*size
+    points of a curve over three float64 (size, size, 4*size) arrays."""
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    mask = np.zeros((size, size), dtype=bool)
+    for _ in range(int(rng.integers(1, 4))):
+        p0 = rng.uniform(0, size - 1, 2)
+        p2 = rng.uniform(0, size - 1, 2)
+        while np.hypot(*(p2 - p0)) < size / 2:
+            p2 = rng.uniform(0, size - 1, 2)
+        p1 = rng.uniform(0, size - 1, 2)
+        radius = rng.uniform(1.0, 3.0)
+        t = np.linspace(0.0, 1.0, 4 * size)[:, None]
+        pts = (1 - t) ** 2 * p0 + 2 * t * (1 - t) * p1 + t ** 2 * p2
+        d2 = ((yy[..., None] - pts[:, 0]) ** 2
+              + (xx[..., None] - pts[:, 1]) ** 2)
+        mask |= d2.min(axis=-1) <= radius * radius
+    return mask
+
+
 def naive_maxpool2(x):
     n, c, h, w = x.shape
     out = np.zeros((n, c, h // 2, w // 2), dtype=x.dtype)

@@ -157,34 +157,34 @@ def test_gen_data_counts_the_blob_working_set(tmp_path, monkeypatch, capsys):
 
 
 def test_gen_data_counts_the_tube_working_set(tmp_path, monkeypatch, capsys):
-    # drawing a tube slice holds three float64 (size, size, 4*size) arrays:
-    # 96*32**3 = 3145728 bytes at size 32, on top of the 73728 bytes that 4
-    # cases of one 32x32 slice keep. 786 pages hold both exactly; one page
-    # fewer refuses tubes before any case is drawn, but not blobs
-    assert TUBE_WORKING_BYTES == 96
-    argv = ["gen-data", "--cases", "4", "--slices", "1", "--size", "32"]
-    pages = {"SC_PHYS_PAGES": 786, "SC_PAGE_SIZE": 4096}
+    # drawing a tube slice holds its canvas, windows and noise:
+    # 16*32**2 = 16384 bytes at size 32, on top of the 73728 bytes that 4
+    # cases of one 32x32 slice keep. 22 pages hold both exactly; one page
+    # fewer refuses tubes before any case is drawn
+    assert TUBE_WORKING_BYTES == 16
+    argv = ["gen-data", "--kind", "tubes", "--cases", "4", "--slices", "1",
+            "--size", "32"]
+    pages = {"SC_PHYS_PAGES": 22, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
-    assert main(argv + ["--kind", "tubes", "--out", str(tmp_path / "a")]) == 0
-    pages["SC_PHYS_PAGES"] = 785
-    assert main(argv + ["--kind", "blobs", "--out", str(tmp_path / "b")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
     capsys.readouterr()
 
     def never(*args, **kwargs):
         raise AssertionError("a case was drawn")
 
     monkeypatch.setattr("mismatch.data.gen_synthetic_case", never)
+    pages["SC_PHYS_PAGES"] = 21
     out = tmp_path / "tubes"
-    assert main(argv + ["--kind", "tubes", "--out", str(out)]) == 2
+    assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("MM-ERR:")
-    assert err[0].endswith(": 3219456 bytes, over the 3215360 bytes of "
+    assert err[0].endswith(": 90112 bytes, over the 86016 bytes of "
                            "physical memory")
     assert not out.exists()
-    # a 4096x4096 tube slice's working set alone is 6 TiB
+    # 4 cases of one 65536x65536 slice keep 275 GB of pixels alone
     pages["SC_PHYS_PAGES"] = 1 << 20
     assert main(["gen-data", "--kind", "tubes", "--cases", "4", "--slices",
-                 "1", "--size", "4096", "--out", str(out)]) == 2
+                 "1", "--size", "65536", "--out", str(out)]) == 2
     assert not out.exists()
 
 

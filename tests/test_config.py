@@ -186,6 +186,10 @@ def test_readers_reject_oversized_dims(dataset, tmp_path, capsys, dims):
     (["calibrate", "--bins", "100000000000000000000"], "calibration.csv"),
     (["eval", "--bins", "100000000000000000000"], "per_image.csv"),
     (["sweep-alpha", "--bins", "100000000000000000000"], "history.csv"),
+    (["gen-data", "--kind", "tubes", "--cases", "3"], "manifest.txt"),
+    (["gen-data", "--kind", "tubes", "--cases", "-5"], "manifest.txt"),
+    (["gen-data", "--kind", "tubes", "--noise-sigma", "1e308"],
+     "manifest.txt"),
 ])
 def test_commands_reject_malformed_arguments(dataset, tmp_path, monkeypatch,
                                              capsys, argv, output):

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mismatch.data import (AugmentConfig, Case, CaseSet, SliceStream,
-                           casewise_normalize, filter_foreground,
-                           gen_caseset, gen_synthetic_case, load_caseset,
-                           make_streams, read_tensor, save_caseset,
-                           split_counts, write_tensor)
+from mismatch.data import (TUBE_WORKING_BYTES, AugmentConfig, Case, CaseSet,
+                           SliceStream, _tube_slice, casewise_normalize,
+                           filter_foreground, gen_caseset, gen_synthetic_case,
+                           load_caseset, make_streams, read_tensor,
+                           save_caseset, split_counts, write_tensor)
 from mismatch.errors import ConfigError, FormatError, ParameterError
+from oracles import dense_tube_slice
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +56,44 @@ def test_generation_validation():
         gen_synthetic_case(0, "tubes", 0, 16, 0.0)
     with pytest.raises(ParameterError):
         gen_synthetic_case(0, "tubes", 2, 16, -0.1)
+
+
+@pytest.mark.parametrize("size,seeds", [(4, 60), (8, 60), (12, 60),
+                                        (16, 60), (32, 60), (64, 20),
+                                        (128, 3)])
+def test_tube_slice_equals_the_dense_rasteriser(size, seeds):
+    # every pixel within the radius of a curve point lies in that point's
+    # window, so the windowed masks are the dense ones, from the same draws
+    for seed in range(seeds):
+        windowed = np.random.default_rng(seed)
+        dense = np.random.default_rng(seed)
+        for _ in range(3):
+            np.testing.assert_array_equal(_tube_slice(windowed, size),
+                                          dense_tube_slice(dense, size))
+            assert windowed.bit_generator.state == dense.bit_generator.state
+
+
+def test_a_512_tube_case_draws_in_a_small_working_set():
+    # the dense rasteriser's three (512, 512, 2048) float64 arrays would
+    # hold 12.9 GB; the case's pixels and the working set hold 8 MiB
+    tracemalloc.start()
+    try:
+        case = gen_synthetic_case(0, "tubes", 1, 512, 0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert case.mask.sum() > 0
+    assert peak < 2 * (16 + TUBE_WORKING_BYTES) * 512 ** 2
+
+
+def test_noise_beyond_float32_is_refused():
+    # a file holds float32, where such a pixel would read inf
+    with pytest.raises(ParameterError, match="beyond the float32 range"):
+        gen_synthetic_case(0, "tubes", 1, 8, 1e308)
+    with pytest.raises(ParameterError, match="beyond the float32 range"):
+        gen_synthetic_case(0, "blobs", 1, 8, 1e39)
+    case = gen_synthetic_case(0, "blobs", 1, 8, 1e37)
+    assert np.isfinite(case.image.astype(np.float32)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +390,18 @@ def test_gen_caseset_checks_case_settings_before_spawning(monkeypatch,
                 **setting}
     with pytest.raises(ParameterError, match=message):
         gen_caseset(0, n_cases=10**9, **settings)
+
+
+@pytest.mark.parametrize("n_cases", [3, 0, -5])
+def test_gen_caseset_refuses_fewer_than_4_cases_first(monkeypatch, n_cases):
+    # no split ratio covers fewer than 4 cases: a setting, like a bad size
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the case count was checked")
+
+    monkeypatch.setattr("mismatch.data.check_memory", never)
+    monkeypatch.setattr(np.random, "SeedSequence", never)
+    with pytest.raises(ParameterError, match="need at least 4 cases"):
+        gen_caseset(0, "tubes", n_cases, 1, 8, 0.0)
 
 
 def test_gen_caseset_assigns_labels_to_split():
