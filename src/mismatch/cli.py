@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -104,12 +103,11 @@ def run_training(variant: str, cfg: dict[str, str], caseset, out_dir,
     caller will forward through the trained model, are checked against
     the model before out_dir is made."""
     spec = nets.variant_spec(variant)
-    tc = train_config_from(cfg)  # every key is checked, for every arm
-    cfg = dict(cfg)
+    train_config_from(cfg)  # every key is checked, for every arm
+    cfg = {**cfg, "model.variant": variant}
     if not spec.semi_supervised:
         cfg["loss.alpha_max"] = "0"  # supervised arms carry no consistency
-        tc = replace(tc, alpha_max=0.0)
-    cfg["model.variant"] = variant
+    tc = train_config_from(cfg)
 
     if not isinstance(caseset, CaseSet):
         caseset = _load_normalized(caseset)
@@ -121,7 +119,7 @@ def run_training(variant: str, cfg: dict[str, str], caseset, out_dir,
         labelled_augment=augment)
     if not spec.semi_supervised:
         unlabelled = None
-    if unlabelled is None and spec.semi_supervised:
+    elif unlabelled is None:
         raise ConfigError(f"variant {variant} needs an unlabelled_train split")
 
     # a width beyond memory or an input the model cannot take leaves no
@@ -414,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "weights")
     s.add_argument("--values", default="0,0.0005,0.001,0.002,0.004")
     s.add_argument("--seeds", default="0")
-    s.add_argument("--variant", choices=sorted(nets.VARIANTS), default="MM")
+    s.add_argument("--variant", default="MM", choices=sorted(
+        name for name, v in nets.VARIANTS.items() if v.semi_supervised))
     s.add_argument("--data", required=True)
     s.add_argument("--labelled-slices", type=int, default=None)
     s.add_argument("--bins", type=int, default=10)

@@ -515,12 +515,16 @@ def check_memory(nbytes: int, what: str, error=ParameterError) -> None:
 # beyond the pixels (10,000-40,000 cases of 4x4 to 16x16 slices).
 CASE_OBJECT_BYTES = 2048
 # Bytes per size**2 that drawing one tube slice holds at its peak: its
-# bool canvas, the point windows (about 7 KB per row) and then the float64
-# noise (8). After a warm-up case, one-slice tube cases grew peak RSS by
-# 0.9-5.9 B per pixel beyond their 16 B of pixels at sizes 512-2048, and
-# three-slice ones by 2.1-12.7 B. Below size 512 the windows outgrow the
-# term, by under 1 MB.
+# bool canvas and then the float64 noise (8). After a warm-up case,
+# one-slice tube cases grew peak RSS by 0.9-5.9 B per pixel beyond their
+# 16 B of pixels at sizes 512-2048, and three-slice ones by 2.1-12.7 B.
 TUBE_WORKING_BYTES = 16
+# Bytes per row of a tube slice that its curves' point windows hold: 4
+# points per row, each with its window's coordinates, distances and hits.
+# tracemalloc peaks of one-slice tube cases exceeded 32 B per pixel by at
+# most 10.9 KB per row at size 4 (300 seeds, noise 0 and 0.8) and 6.5 KB
+# at size 512 (20 seeds, noise 0).
+TUBE_ROW_BYTES = 12288
 # Bytes per size**2 that _blob_slice's float64 (size, size) arrays hold at
 # their peak: about ten of them. Drawing one blob slice grew peak RSS by
 # 19.8 MiB at size 512 and 74.3 MiB at size 1024 (20 and 80 predicted).
@@ -540,8 +544,8 @@ def gen_caseset(seed: int, kind: str, n_cases: int, slices: int, size: int,
     # every case keeps a float64 image and mask, and its objects, and a
     # slice is drawn in a working set of its own; Python ints never wrap
     nbytes = n_cases * (slices * size * size * 16 + CASE_OBJECT_BYTES)
-    nbytes += (TUBE_WORKING_BYTES if kind == "tubes"
-               else BLOB_WORKING_BYTES) * size ** 2
+    nbytes += (TUBE_WORKING_BYTES * size ** 2 + TUBE_ROW_BYTES * size
+               if kind == "tubes" else BLOB_WORKING_BYTES * size ** 2)
     check_memory(nbytes, f"{n_cases} cases of {slices} {size}x{size} slices")
     ss = np.random.SeedSequence(seed).spawn(n_cases)
     order = [name for name in SPLIT_NAMES for _ in range(counts[name])]

@@ -316,30 +316,23 @@ def train(config: TrainConfig, model: Model, labelled_stream,
                 _audit_stop_gradient(model, xu, step)
 
             with Tape():
+                # One forward over the labelled and any unlabelled samples.
+                # Every op is per sample, so each half equals its own
+                # forward, and at zero weight the term's gradient is exactly
+                # +-0: the step is then bitwise the supervised one.
+                x = xb if xu is None else np.concatenate([xb, xu])
+                heads = model_forward(model, Tensor(x))
                 if xu is not None:
-                    # One forward over labelled + unlabelled samples. Every
-                    # op is per sample, so each half equals its own forward,
-                    # and at zero weight the term's gradient is exactly +-0:
-                    # the step is then bitwise the supervised one.
                     nb = len(xb)
-                    heads = model_forward(model,
-                                          Tensor(np.concatenate([xb, xu])))
-                    probs = [take_batch(p, 0, nb) for p in heads]
-                    up = [take_batch(p, nb, p.shape[0]) for p in heads]
-                else:
-                    probs = model_forward(model, Tensor(xb))
+                    heads, up = ([take_batch(p, 0, nb) for p in heads],
+                                 [take_batch(p, nb, len(x)) for p in heads])
                 target = Tensor(yb)
-                d1 = dice_loss(probs[0], target, config.dice_smooth)
-                total = d1
-                d2_val = 0.0
-                if len(probs) == 2:
-                    d2 = dice_loss(probs[1], target, config.dice_smooth)
-                    d2_val = d2.item()
-                    total = add(d1, d2)
+                dice = [dice_loss(p, target, config.dice_smooth)
+                        for p in heads]
+                total = reduce(add, dice)
                 cons_val = 0.0
                 if xu is not None:
-                    cons = consistency_loss(up[0], up[1],
-                                            config.consistency_mode)
+                    cons = consistency_loss(*up, config.consistency_mode)
                     cons_val = cons.item()
                     total = add(total, scale(cons, a))
 
@@ -359,8 +352,9 @@ def train(config: TrainConfig, model: Model, labelled_stream,
                                          step=step)
             adam_step(model.flat, state, config.lr)
             zero_grads([("params", model.flat)])
-            history.append(HistoryRow(step, epoch, d1.item(), d2_val,
-                                      cons_val, a, total_val))
+            d = [t.item() for t in dice] + [0.0]  # dice2 = 0 for one head
+            history.append(HistoryRow(step, epoch, d[0], d[1], cons_val, a,
+                                      total_val))
             step += 1
         snapshots.append(clone_params(model))
 
@@ -374,7 +368,7 @@ def _audit_stop_gradient(model, xu, step):
     for mode, frozen_dec in (("first_to_second", 1), ("second_to_first", 0)):
         with Tape():
             up = model_forward(model, Tensor(xu))
-            term = consistency_loss(up[0], up[1], mode)
+            term = consistency_loss(*up, mode)
         backward(term)
         frozen = set(decoder_param_names(model, frozen_dec))
         for name, t in model.params.items():

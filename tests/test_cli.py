@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 import mismatch.cli as cli
+import mismatch.nets as nets
 import mismatch.training as training
 from mismatch.autodiff import Tensor
 from mismatch.cli import main, merge_config, run_training
 from mismatch.data import (BLOB_WORKING_BYTES, CASE_OBJECT_BYTES,
-                           TUBE_WORKING_BYTES, Case, load_caseset)
+                           TUBE_ROW_BYTES, TUBE_WORKING_BYTES, Case,
+                           load_caseset)
 from mismatch.errors import NumericalAbort
 from mismatch.metrics import (RELIABILITY_SLICES_COLUMNS, ReliabilityBins,
                               ece, read_metrics_csv, read_reliability_csv,
@@ -157,14 +159,15 @@ def test_gen_data_counts_the_blob_working_set(tmp_path, monkeypatch, capsys):
 
 
 def test_gen_data_counts_the_tube_working_set(tmp_path, monkeypatch, capsys):
-    # drawing a tube slice holds its canvas, windows and noise:
-    # 16*32**2 = 16384 bytes at size 32, on top of the 73728 bytes that 4
-    # cases of one 32x32 slice keep. 22 pages hold both exactly; one page
-    # fewer refuses tubes before any case is drawn
-    assert TUBE_WORKING_BYTES == 16
+    # drawing a tube slice holds its canvas and noise, 16*32**2 = 16384
+    # bytes at size 32, and its point windows, 12288*32 = 393216 bytes, on
+    # top of the 73728 bytes that 4 cases of one 32x32 slice keep. 118
+    # pages hold all three exactly; one page fewer refuses tubes before any
+    # case is drawn
+    assert (TUBE_WORKING_BYTES, TUBE_ROW_BYTES) == (16, 12288)
     argv = ["gen-data", "--kind", "tubes", "--cases", "4", "--slices", "1",
             "--size", "32"]
-    pages = {"SC_PHYS_PAGES": 22, "SC_PAGE_SIZE": 4096}
+    pages = {"SC_PHYS_PAGES": 118, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     assert main(argv + ["--out", str(tmp_path / "a")]) == 0
     capsys.readouterr()
@@ -173,12 +176,12 @@ def test_gen_data_counts_the_tube_working_set(tmp_path, monkeypatch, capsys):
         raise AssertionError("a case was drawn")
 
     monkeypatch.setattr("mismatch.data.gen_synthetic_case", never)
-    pages["SC_PHYS_PAGES"] = 21
+    pages["SC_PHYS_PAGES"] = 117
     out = tmp_path / "tubes"
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("MM-ERR:")
-    assert err[0].endswith(": 90112 bytes, over the 86016 bytes of "
+    assert err[0].endswith(": 483328 bytes, over the 479232 bytes of "
                            "physical memory")
     assert not out.exists()
     # 4 cases of one 65536x65536 slice keep 275 GB of pixels alone
@@ -736,6 +739,34 @@ def test_sweep_alpha_validates_tokens(dataset, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("MM-ERR:")
+
+
+def test_sweep_alpha_refuses_supervised_variants(dataset, tmp_path, capsys,
+                                                 monkeypatch):
+    # a supervised arm trains at alpha 0 whatever --values says, so its
+    # sweep would repeat one run; the choices are the semi-supervised rows
+    # of the variant table
+    def never(*args, **kwargs):
+        raise AssertionError("an arm trained")
+
+    monkeypatch.setattr(cli, "run_training", never)
+    parser = cli.build_parser()
+    supervised = []
+    for variant, spec in nets.VARIANTS.items():
+        out = tmp_path / variant
+        argv = ["sweep-alpha", "--variant", variant, "--data", dataset,
+                "--values", "0,0.5", "--seeds", "0", "--out", str(out)]
+        if spec.semi_supervised:
+            assert parser.parse_args(argv).variant == variant
+            continue
+        supervised.append(variant)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("MM-ERR:") and repr(variant) in err[-1]
+        assert not out.exists()
+    assert supervised == ["Sup1", "Sup2"]
 
 
 # ---------------------------------------------------------------------------

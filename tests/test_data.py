@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mismatch.data import (TUBE_WORKING_BYTES, AugmentConfig, Case, CaseSet,
-                           SliceStream, _tube_slice, casewise_normalize,
-                           filter_foreground, gen_caseset, gen_synthetic_case,
-                           load_caseset, make_streams, read_tensor,
-                           save_caseset, split_counts, write_tensor)
+from mismatch.data import (TUBE_ROW_BYTES, TUBE_WORKING_BYTES, AugmentConfig,
+                           Case, CaseSet, SliceStream, _tube_slice,
+                           casewise_normalize, filter_foreground, gen_caseset,
+                           gen_synthetic_case, load_caseset, make_streams,
+                           read_tensor, save_caseset, split_counts,
+                           write_tensor)
 from mismatch.errors import ConfigError, FormatError, ParameterError
 from oracles import dense_tube_slice
 
@@ -84,6 +85,24 @@ def test_a_512_tube_case_draws_in_a_small_working_set():
         tracemalloc.stop()
     assert case.mask.sum() > 0
     assert peak < 2 * (16 + TUBE_WORKING_BYTES) * 512 ** 2
+
+
+@pytest.mark.parametrize("size", [32, 64, 128, 256, 512])
+def test_a_tube_case_peaks_within_its_counted_bytes(size):
+    # gen_caseset counts a one-slice tube case as its pixels (16 B each),
+    # the slice's canvas and noise and its curves' point windows
+    counted = (16 + TUBE_WORKING_BYTES) * size ** 2 + TUBE_ROW_BYTES * size
+    # a first case also traces numpy's one-off lazy imports and caches
+    gen_synthetic_case(0, "tubes", 1, 4, 0.8)
+    for seed in range(5):
+        for noise in (0.0, 0.8):
+            tracemalloc.start()
+            try:
+                gen_synthetic_case(seed, "tubes", 1, size, noise)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= counted, (seed, noise)
 
 
 def test_noise_beyond_float32_is_refused():

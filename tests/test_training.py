@@ -304,6 +304,30 @@ def test_train_epoch_length_follows_unlabelled_stream():
     assert all(r.consistency > 0 for r in history)
 
 
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("variant, semi", [("Sup1", False), ("Sup2", False),
+                                           ("MM", True)])
+def test_train_step_sums_each_head_and_the_weighted_consistency(variant, semi,
+                                                                batch):
+    # one step body: Dice per head, plus alpha * consistency only with an
+    # unlabelled stream; the row logs 0 for a head or a term that is absent
+    rng = np.random.default_rng(70)
+    model = init_params(variant, channels=2, seed=3)
+    cfg = TrainConfig(epochs=2, channels=2, alpha_max=0.5, batch_size=batch,
+                      warmup_fraction=0.5)
+    unlab = _unlabelled_stub(rng, n=2, batch=batch) if semi else None
+    _, _, history = train(cfg, model, _labelled_stub(rng, n=2, batch=batch),
+                          unlab)
+    assert len(history) == 4
+    f32 = np.float32
+    for r in history:
+        assert (r.dice2 == 0.0) == (len(model.decoders) == 1)
+        assert (r.consistency == 0.0) == (not semi)
+        assert r.total == (f32(r.dice1) + f32(r.dice2)
+                           + f32(r.consistency) * f32(r.alpha))
+    assert any(r.alpha > 0 for r in history)
+
+
 def test_train_alpha_zero_matches_supervised_bitwise():
     # the labelled half of the joint forward is bitwise the labelled-only
     # forward, and the zero-weight consistency term adds an exactly +-0
