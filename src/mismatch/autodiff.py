@@ -435,6 +435,13 @@ def same_padding(kernel: int, dilation: int = 1) -> int:
 # Unblocked, a 16-slice 64x64 MM forward took 165 ms instead of 130 ms
 # (2-vCPU x86-64, OpenBLAS on one thread).
 _BLOCK_BYTES = 1 << 18
+# The per-tap walk makes the k*k tap products of one sample's block at once
+# only while they fit in this many bytes, in L2; beyond, it adds each tap's
+# GEMM in place. Making them at once at every size, a width-8 MM forward of
+# 64x64 slices in two-slice chunks took 9.68 ms per slice instead of 8.23
+# (medians of 40 interleaved runs on that host; an 8 -> 8 conv's products
+# are 1.2 MB there), while the 32x32 training convs make at most 0.4 MB.
+TAP_PRODUCT_BYTES = 1 << 19
 
 
 def _flat_grid(a: np.ndarray, hp: int, wp: int, at: int,
@@ -485,15 +492,18 @@ def _conv_flat(taps: np.ndarray, view: np.ndarray) -> np.ndarray:
     block by block. conv2d's forward and input gradient both walk it, each
     over only the rows it keeps of every sample.
 
-    Each tap's view goes to BLAS in place as its own GEMM per sample,
-    which re-reads and re-writes the o output rows of a block once per
-    tap. Where o > c, copying the c input rows of every tap is cheaper, so
-    the views are stacked into one (k*k*c, columns) matrix per sample and
-    one GEMM."""
+    Each tap's view goes to BLAS in place as its own GEMM per sample. While
+    a block's k*k products fit in TAP_PRODUCT_BYTES, one broadcast matmul
+    per sample makes them and np.add.reduce sums them in row-major tap
+    order; beyond, each tap's GEMM is added in place, in the same order,
+    so both give the same bits. Where o > c, copying the c input rows of
+    every tap is cheaper, so the views are stacked into one (k*k*c,
+    columns) matrix per sample and one GEMM; a 1x1 kernel's one view
+    stacks without a copy."""
     k, _, o, c = taps.shape
     n, length = view.shape[2], view.shape[-1]
     out = np.empty((n, o, length), dtype=view.dtype)
-    stacked = o > c
+    stacked = o > c or k == 1
     w2 = taps.transpose(2, 0, 1, 3).reshape(o, k * k * c) if stacked else None
     for s, m in _blocks(n, length, k * k * c if stacked else c,
                         view.itemsize):
@@ -502,9 +512,17 @@ def _conv_flat(taps: np.ndarray, view: np.ndarray) -> np.ndarray:
             np.matmul(w2, cols.transpose(2, 0, 1, 3, 4).reshape(
                 blk.shape[0], k * k * c, blk.shape[-1]), out=blk)
             continue
-        np.matmul(taps[0, 0], cols[0, 0], out=blk)
-        for t in range(1, k * k):
-            blk += taps[t // k, t % k] @ cols[t // k, t % k]
+        if k * k * o * blk.shape[-1] * view.itemsize > TAP_PRODUCT_BYTES:
+            np.matmul(taps[0, 0], cols[0, 0], out=blk)
+            for t in range(1, k * k):
+                blk += taps[t // k, t % k] @ cols[t // k, t % k]
+            continue
+        for i in range(blk.shape[0]):
+            prod = np.matmul(taps, cols[:, :, i]).reshape(k * k, o, -1)
+            if prod[0].size == 1:  # reduce would sum a lone axis pairwise
+                prod = np.add.accumulate(prod)[-1:]
+            np.add.reduce(prod, axis=0, out=blk[i])
+            del prod  # before the next products are made
     return out
 
 

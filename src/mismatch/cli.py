@@ -126,9 +126,8 @@ def run_training(variant: str, cfg: dict[str, str], caseset, out_dir,
     # out_dir, and an unusable out_dir fails here, not after the whole
     # training run; make_streams gave every training slice one shape
     model = init_params(variant, tc.channels, tc.in_channels, seed=tc.seed)
-    shapes = [(1, *labelled.slice_shape)] + [c.image.shape for c in scored]
-    for shape in shapes:
-        nets.check_input(model.params, shape)
+    nets.check_input(model.params, (1, *labelled.slice_shape))
+    _check_scored(model, scored)
     os.makedirs(out_dir, exist_ok=True)
     final, averaged, history = train(tc, model, labelled, unlabelled)
 
@@ -138,6 +137,14 @@ def run_training(variant: str, cfg: dict[str, str], caseset, out_dir,
     averaged_path = os.path.join(out_dir, "averaged.ckpt")
     save_checkpoint(averaged_path, averaged, cfg)
     return averaged_path
+
+
+def _check_scored(model, cases) -> None:
+    """Refuse cases the model cannot take (DimensionError) or whose
+    forward of one slice exceeds physical memory (ParameterError)."""
+    for case in cases:
+        nets.check_input(model.params, case.image.shape)
+        nets.check_forward(model.params, case.image.shape)
 
 
 def _head_names(model) -> list[str]:
@@ -252,8 +259,7 @@ def cmd_eval(args) -> int:
     seed = echo_value({**DEFAULT_CONFIG, **echo}, "train.seed")
     # a bad split or case leaves no --out behind
     cases = _split_cases(_load_normalized(args.data), args.split)
-    for case in cases:
-        nets.check_input(model.params, case.image.shape)
+    _check_scored(model, cases)
     _check_bins(args.bins, cases, 1)
     os.makedirs(args.out, exist_ok=True)
     rows, mean_iou, std_iou, pooled_ece = evaluate_split(model, cases,
@@ -277,8 +283,7 @@ def cmd_eval(args) -> int:
 def cmd_calibrate(args) -> int:
     model, echo = load_model(args.checkpoint)
     cases = _split_cases(_load_normalized(args.data), args.split)
-    for case in cases:
-        nets.check_input(model.params, case.image.shape)
+    _check_scored(model, cases)
     heads = _head_names(model)
     _check_bins(args.bins, cases, len(heads))
     comments = echo_lines(echo)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, add, concat_channels, conv2d, conv_relu_norm,
-                       maxpool2, mul, same_padding, scale, sigmoid,
-                       upsample_bilinear2, window_extreme)
+from .autodiff import (TAP_PRODUCT_BYTES, Tensor, add, concat_channels,
+                       conv2d, conv_relu_norm, maxpool2, mul, same_padding,
+                       scale, sigmoid, upsample_bilinear2, window_extreme)
 from .data import check_memory
 from .errors import ConfigError, ContractError, DimensionError, ParameterError
 
@@ -167,6 +167,22 @@ def check_input(params, shape) -> None:
     if h % 4 or w % 4:
         raise DimensionError(f"encoder needs spatial dims divisible by 4, "
                              f"got {h}x{w}")
+
+
+# Bytes per pixel per base-width channel that a value-only forward of one
+# slice holds at its peak, beside the tap products of one conv block.
+# tracemalloc peaks of two-head forwards read 47.2-47.5 at widths 8, 16
+# and 24 (128x128 to 512x512 slices), Sup1's 39.2.
+FORWARD_BYTES = 48
+
+
+def check_forward(params, shape) -> None:
+    """Refuse, as ParameterError, NCHW `shape` images whose value-only
+    forward of one slice would hold more than physical memory."""
+    width = params["enc0.main1.w"].shape[0]
+    h, w = shape[2], shape[3]
+    check_memory(FORWARD_BYTES * width * h * w + TAP_PRODUCT_BYTES,
+                 f"a width-{width} forward of one {h}x{w} slice")
 
 
 def encoder_forward(image: Tensor, params):

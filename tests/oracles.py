@@ -90,6 +90,24 @@ def col2im_conv2d_input_grad(g, w, x_shape, padding, dilation):
     return gxp[:, :, p:p + h, p:p + wd]
 
 
+def tap_loop_conv_flat(taps, view, columns):
+    """conv2d's tap walk as a per-tap loop: for each sample and each range
+    of `columns` columns, the GEMM of tap (0, 0), then each further tap's
+    GEMM added in place, taps in row-major order. `taps` is (k, k, o, c)
+    and `view` (k, k, n, c, length); the result is (n, o, length)."""
+    k, _, o, _ = taps.shape
+    n, length = view.shape[2], view.shape[-1]
+    out = np.empty((n, o, length), dtype=view.dtype)
+    for i in range(n):
+        for m0 in range(0, length, columns):
+            m = slice(m0, m0 + columns)
+            blk = out[i, :, m]
+            np.matmul(taps[0, 0], view[0, 0, i, :, m], out=blk)
+            for t in range(1, k * k):
+                blk += taps[t // k, t % k] @ view[t // k, t % k, i, :, m]
+    return out
+
+
 def dense_tube_slice(rng, size):
     """data._tube_slice as every pixel against every curve point: the same
     draws in the same order, and the squared distance to each of the 4*size

@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mismatch.autodiff as autodiff
 import mismatch.nets as nets
-from mismatch.autodiff import (_BLOCK_BYTES, _NORM_EPS, Tape, Tensor, add,
-                               backward, concat_channels, conv2d,
-                               conv_relu_norm, instance_norm, maxpool2, mse,
-                               mul, relu, same_padding, scale, sigmoid,
+from mismatch.autodiff import (_BLOCK_BYTES, _NORM_EPS, TAP_PRODUCT_BYTES,
+                               Tape, Tensor, add, backward, concat_channels,
+                               conv2d, conv_relu_norm, instance_norm, maxpool2,
+                               mse, mul, relu, same_padding, scale, sigmoid,
                                stop_gradient, take_batch, upsample_bilinear2)
 from mismatch.errors import DimensionError, GraphError, ParameterError
 from mismatch.nets import init_params, model_forward, morph_perturb
@@ -18,7 +19,8 @@ from gradcheck import check_grads
 from oracles import (argmax_maxpool2, argmax_morph, col2im_conv2d_input_grad,
                      naive_conv2d, naive_maxpool2, naive_upsample_bilinear2,
                      rel_err, scatter_upsample_bilinear2_backward,
-                     where_sigmoid, window_conv2d, window_conv2d_weight_grad)
+                     tap_loop_conv_flat, where_sigmoid, window_conv2d,
+                     window_conv2d_weight_grad)
 
 
 def leaf(rng, *shape):
@@ -138,6 +140,90 @@ def test_conv2d_forward_and_weight_grad_match_oracles():
         assert gw.shape == w.shape
         assert rel_err(gw, want) < 1e-12
         assert rel_err(gb, g.sum(axis=(0, 2, 3))) < 1e-12
+
+
+def _walk_calls(monkeypatch, n, c, o, side, k, p, d, dtype, rng):
+    """The (taps, view, result) of every tap walk of one recorded conv2d,
+    forward then input gradient, on inputs and gradients that are zero,
+    of either sign, over a third of each map, and positive weights."""
+    calls = []
+
+    def record(taps, view):
+        calls.append((taps, view, walk(taps, view)))
+        return calls[-1][-1]
+
+    def signed_zeros(shape):
+        a = rng.standard_normal(shape).astype(dtype)
+        a[..., : shape[-2] // 3, :] = np.where(rng.random(shape[:-2] + (
+            shape[-2] // 3, shape[-1])) < 0.5, -0.0, 0.0)
+        return a
+
+    walk = autodiff._conv_flat
+    x = Tensor(signed_zeros((n, c, side, side)), requires_grad=True)
+    w = Tensor(np.abs(rng.standard_normal((o, c, k, k))).astype(dtype),
+               requires_grad=True)
+    b = Tensor(np.zeros(o, dtype), requires_grad=True)
+    with monkeypatch.context() as patch:
+        patch.setattr(autodiff, "_conv_flat", record)
+        with Tape() as tape:
+            out = conv2d(x, w, b, p, dilation=d)
+        tape.nodes[-1].backward_fn(signed_zeros(out.shape))
+    return calls
+
+
+def _walk_columns(view):
+    """The columns of each block of the tap walk over `view`: a sample's
+    whole rows while its c input rows fit in _BLOCK_BYTES, ranges of that
+    many bytes of them beyond."""
+    c, length = view.shape[3], view.shape[-1]
+    return min(length, max(1, autodiff._BLOCK_BYTES // (c * view.itemsize)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_walk_is_bitwise_the_tap_loop(monkeypatch, dtype):
+    # the per-tap form (o <= c, which a 1x1 kernel stacks without a copy)
+    # of every walk of an MM step at n = 1 and 2, whose products fit in
+    # TAP_PRODUCT_BYTES, the 64x64 eval shapes, most of whose do not and
+    # whose 24 -> 8 convs are walked in two column ranges, and batches of
+    # 0 and 3, against the loop of in-place adds, byte for byte, so the
+    # signs of the zero sums count too
+    rng = np.random.default_rng(43)
+    shapes = ([(n, *s) for n in (1, 2) for s in MM_STEP_CONVS] + EVAL_CONVS
+              + [(0, 8, 8, 32, 3, 1, 1), (3, 16, 16, 16, 3, 5, 5),
+                 (3, 8, 1, 16, 1, 0, 1)])
+    seen = set()
+    for shape in shapes:
+        for taps, view, got in _walk_calls(monkeypatch, *shape, dtype, rng):
+            k, _, o, c = taps.shape
+            if o > c:
+                continue
+            columns = _walk_columns(view)
+            assert _same_bits(got, tap_loop_conv_flat(taps, view, columns)), (
+                shape, taps.shape)
+            seen.add((k, view.shape[2], bool((got == 0).any()),
+                      k * k * o * columns * view.itemsize > TAP_PRODUCT_BYTES))
+    assert {k for k, *_ in seen} == {1, 3}
+    assert {n for _, n, *_ in seen} == {0, 1, 2, 3}
+    assert any(zero for _, _, zero, _ in seen)
+    assert {big for k, *_, big in seen if k == 3} == {False, True}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_walk_bands_are_bitwise_the_tap_loop(monkeypatch, dtype):
+    # blocks shrunk so that one sample is walked in several column ranges,
+    # the last a partial one: 8 -> 8 at 32x32 in ranges of 100 columns
+    # (1088 = 10*100 + 88), and 16 samples of 2 -> 1 at 8x8 unpadded, 48
+    # columns in ranges of 47, whose last range of one column and one
+    # output row np.add.reduce alone would sum pairwise
+    rng = np.random.default_rng(47)
+    size = np.dtype(dtype).itemsize
+    for shape, block, last in (((2, 8, 8, 32, 3, 1, 1), 8 * 100 * size, 88),
+                               ((16, 2, 1, 8, 3, 0, 1), 2 * 47 * size, 1)):
+        monkeypatch.setattr(autodiff, "_BLOCK_BYTES", block)
+        taps, view, got = _walk_calls(monkeypatch, *shape, dtype, rng)[0]
+        columns = _walk_columns(view)
+        assert view.shape[-1] % columns == last and view.shape[-1] > columns
+        assert _same_bits(got, tap_loop_conv_flat(taps, view, columns))
 
 
 def test_recorded_conv2d_keeps_no_column_buffer():

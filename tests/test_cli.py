@@ -9,7 +9,7 @@ import pytest
 import mismatch.cli as cli
 import mismatch.nets as nets
 import mismatch.training as training
-from mismatch.autodiff import Tensor
+from mismatch.autodiff import TAP_PRODUCT_BYTES, Tensor
 from mismatch.cli import main, merge_config, run_training
 from mismatch.data import (BLOB_WORKING_BYTES, CASE_OBJECT_BYTES,
                            TUBE_ROW_BYTES, TUBE_WORKING_BYTES, Case,
@@ -500,13 +500,14 @@ def test_bins_beyond_physical_memory_are_refused_before_out(
         trained_mm, dataset, tmp_path, monkeypatch, capsys):
     # the test split is one case of 2 slices: eval scores one head's 3
     # reliability diagrams (2 slices and the pooled one), calibrate three
-    # heads' 9. At BIN_BYTES per bin and diagram, one 4 KiB page holds 17
-    # bins for eval and 5 for calibrate, and one bin more is refused
+    # heads' 9. 130 pages of 4 KiB hold the 530,432 bytes of one 8x8
+    # slice's forward (below) and, at BIN_BYTES per bin and diagram, 2218
+    # bins for eval and 739 for calibrate; one bin more is refused
     assert cli.BIN_BYTES == 80
-    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1,
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 130,
                                         "SC_PAGE_SIZE": 4096}.__getitem__)
     ckpt = os.path.join(trained_mm, "averaged.ckpt")
-    for command, fits, diagrams in (("eval", 17, 3), ("calibrate", 5, 9)):
+    for command, fits, diagrams in (("eval", 2218, 3), ("calibrate", 739, 9)):
         argv = [command, "--checkpoint", ckpt, "--data", dataset]
         assert main(argv + ["--bins", str(fits),
                             "--out", str(tmp_path / command)]) == 0
@@ -517,7 +518,45 @@ def test_bins_beyond_physical_memory_are_refused_before_out(
         assert len(err) == 1 and err[0].startswith("MM-ERR:")
         assert err[0].endswith(f"for {diagrams} reliability diagrams: "
                                f"{80 * (fits + 1) * diagrams} bytes, over "
-                               f"the 4096 bytes of physical memory")
+                               f"the 532480 bytes of physical memory")
+        assert not out.exists()
+
+
+def test_forward_beyond_physical_memory_is_refused_before_out(
+        trained_mm, dataset, tmp_path, monkeypatch, capsys):
+    # the width-2 forward of one 8x8 slice counts FORWARD_BYTES per pixel
+    # and channel plus the tap products of one conv block. With exactly
+    # that much physical memory, eval, calibrate and a one-arm sweep run;
+    # with one byte less, each is refused before --out is made, the sweep
+    # before its arm trains
+    nbytes = nets.FORWARD_BYTES * 2 * 8 * 8 + TAP_PRODUCT_BYTES
+    assert nbytes == 530432
+    memory = {"SC_PHYS_PAGES": nbytes, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+    ckpt = os.path.join(trained_mm, "averaged.ckpt")
+    commands = {
+        "eval": ["eval", "--checkpoint", ckpt, "--data", dataset],
+        "calibrate": ["calibrate", "--checkpoint", ckpt, "--data", dataset],
+        "sweep-alpha": ["sweep-alpha", "--data", dataset, "--values", "0",
+                        "--seeds", "0"] + FAST,
+    }
+    for command, argv in commands.items():
+        assert main(argv + ["--out", str(tmp_path / command)]) == 0
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("an arm trained")
+
+    monkeypatch.setattr(cli, "train", never)
+    memory["SC_PHYS_PAGES"] = nbytes - 1
+    for command, argv in commands.items():
+        out = tmp_path / f"{command}_refused"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("MM-ERR:")
+        assert err[0].endswith(f"a width-2 forward of one 8x8 slice: {nbytes} "
+                               f"bytes, over the {nbytes - 1} bytes of "
+                               f"physical memory")
         assert not out.exists()
 
 

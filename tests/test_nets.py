@@ -1,12 +1,13 @@
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mismatch.nets as nets
-from mismatch.autodiff import (Tape, Tensor, add, backward, mse, scale, sigmoid,
-                               take_batch)
+from mismatch.autodiff import (TAP_PRODUCT_BYTES, Tape, Tensor, add, backward,
+                               mse, scale, sigmoid, take_batch)
 from mismatch.errors import (ConfigError, ContractError, DimensionError,
                              ParameterError)
 from mismatch.nets import (PASB_SIDE_DILATION, VARIANTS, _draw, _stage,
@@ -188,6 +189,30 @@ def test_encoder_rejects_indivisible_spatial_dims():
     model = init_params("Sup1", channels=2, seed=0, dtype=np.float64)
     with pytest.raises(DimensionError):
         encoder_forward(Tensor(np.zeros((1, 1, 30, 32))), model.params)
+
+
+def test_value_only_forward_peaks_within_its_counted_bytes():
+    # the tracemalloc peak of one float32 slice's value-only forward, after
+    # a warm-up forward: within check_forward's count, and, for a width-8
+    # MM forward of a 512x512 slice, within the 95.0 MiB that the per-tap
+    # loop peaked at plus the tap products of one block (walking whole
+    # samples, the broadcast walk peaked at 152 MiB)
+    rng = np.random.default_rng(53)
+    for variant, width, side in (("MM", 8, 512), ("MM", 16, 64),
+                                 ("Sup1", 8, 128)):
+        model = init_params(variant, width, seed=0)
+        model_forward(model, _rand_image(rng, (1, 1, 32, 32), np.float32))
+        image = _rand_image(rng, (1, 1, side, side), np.float32)
+        tracemalloc.start()
+        try:
+            model_forward(model, image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counted = nets.FORWARD_BYTES * width * side * side + TAP_PRODUCT_BYTES
+        assert peak <= counted, (variant, width, side, peak)
+        if side == 512:
+            assert peak <= 95.0 * 2**20 + TAP_PRODUCT_BYTES, peak
 
 
 def test_model_outputs_are_input_sized_probability_maps():
