@@ -22,14 +22,14 @@ from .data import (AugmentConfig, CaseSet, casewise_normalize, check_memory,
                    gen_caseset, load_caseset, make_streams, save_caseset)
 from .errors import (ConfigError, MisMatchError, NumericalAbort,
                      ParameterError)
-from .metrics import (RELIABILITY_SLICES_COLUMNS, MetricsRow, binarize, ece,
-                      emit_metrics_csv, emit_reliability_csv, fmt_float, iou,
-                      reliability_bins, reliability_rows, write_table)
+from .metrics import (RELIABILITY_SLICES_COLUMNS, MetricsRow, PooledBins,
+                      binarize, ece, emit_metrics_csv, emit_reliability_csv,
+                      fmt_float, reliability_rows, slice_ious, write_table)
 from . import nets
 from .nets import average_prediction, init_params, model_forward
-from .training import (CONFIG_FIELDS, TrainConfig, echo_value, load_model,
-                       parse_config_value, save_checkpoint, train,
-                       write_history_csv)
+from .training import (CONFIG_FIELDS, TrainConfig, _keep_heap, echo_value,
+                       load_model, parse_config_value, save_checkpoint,
+                       train, write_history_csv)
 
 DEFAULT_CONFIG: dict[str, str] = {key: str(f.default)
                                   for key, f in CONFIG_FIELDS.items()}
@@ -201,25 +201,25 @@ def _check_bins(m_bins: int, cases, heads: int) -> None:
 
 
 def _score(model, cases, heads, m_bins: int):
-    """The one pass over a split's slices. Every case is forwarded, and
-    may abort, before the first slice is binned. Returns per-slice rows
-    (label, head, p, g, bins) in case, slice, head order, and the pooled
-    ReliabilityBins of each head. Only the scored heads are kept."""
-    probs = [{h: pc[h] for h in heads}
-             for pc in (_case_probs(model, case) for case in cases)]
+    """The one pass over a split's slices, one case at a time: each case
+    is forwarded, its slices binned and folded into the pooled diagrams,
+    and its probabilities dropped before the next case is forwarded.
+    Returns per-slice rows (label, head, IoU, bins) in case, slice, head
+    order, and the pooled ReliabilityBins of each head. Only the scored
+    heads are binned."""
+    _keep_heap()
+    pooled = {h: PooledBins(m_bins) for h in heads}
     rows = []
-    for case, pc in zip(cases, probs):
+    for case in cases:
+        probs = _case_probs(model, case)
+        per_head = [(h, slice_ious(binarize(probs[h]), case.mask),
+                     pooled[h].add(probs[h], case.mask)) for h in heads]
+        del probs  # not held through the next case's forward
         for s in range(case.image.shape[0]):
-            label, g = f"{case.case_id}_s{s:03d}", case.mask[s, 0]
-            for h in heads:
-                p = pc[h][s, 0]
-                rows.append((label, h, p, g, reliability_bins(p, g, m_bins)))
-    gt = np.concatenate([c.mask.ravel() for c in cases])
-    pooled = {h: reliability_bins(np.concatenate([pc[h].ravel()
-                                                  for pc in probs]),
-                                  gt, m_bins)
-              for h in heads}
-    return rows, pooled
+            label = f"{case.case_id}_s{s:03d}"
+            rows.extend((label, h, ious[s], bins[s])
+                        for h, ious, bins in per_head)
+    return rows, {h: pool.bins() for h, pool in pooled.items()}
 
 
 def evaluate_split(model, cases, m_bins: int):
@@ -227,8 +227,8 @@ def evaluate_split(model, cases, m_bins: int):
     std IoU, and the head's pooled ECE."""
     head = _head_names(model)[-1]
     scored, pooled = _score(model, cases, [head], m_bins)
-    rows = [(label, iou(binarize(p), g), ece(bins))
-            for label, _, p, g, bins in scored]
+    rows = [(label, slice_iou, ece(bins))
+            for label, _, slice_iou, bins in scored]
     ious = np.array([r[1] for r in rows])
     return rows, float(ious.mean()), float(ious.std()), ece(pooled[head])
 
@@ -258,12 +258,12 @@ def cmd_eval(args) -> int:
     model, echo = load_model(args.checkpoint)
     seed = echo_value({**DEFAULT_CONFIG, **echo}, "train.seed")
     # a bad split or case leaves no --out behind
-    cases = _split_cases(_load_normalized(args.data), args.split)
+    cases = _split_cases(load_caseset(args.data), args.split)
     _check_scored(model, cases)
     _check_bins(args.bins, cases, 1)
     os.makedirs(args.out, exist_ok=True)
-    rows, mean_iou, std_iou, pooled_ece = evaluate_split(model, cases,
-                                                         args.bins)
+    rows, mean_iou, std_iou, pooled_ece = evaluate_split(
+        model, map(casewise_normalize, cases), args.bins)
 
     comments = echo_lines(echo)
     write_table(os.path.join(args.out, "per_image.csv"),
@@ -282,17 +282,18 @@ def cmd_eval(args) -> int:
 
 def cmd_calibrate(args) -> int:
     model, echo = load_model(args.checkpoint)
-    cases = _split_cases(_load_normalized(args.data), args.split)
+    cases = _split_cases(load_caseset(args.data), args.split)
     _check_scored(model, cases)
     heads = _head_names(model)
     _check_bins(args.bins, cases, len(heads))
     comments = echo_lines(echo)
     os.makedirs(args.out, exist_ok=True)
-    rows, pooled = _score(model, cases, heads, args.bins)
+    rows, pooled = _score(model, map(casewise_normalize, cases), heads,
+                          args.bins)
 
     write_table(os.path.join(args.out, "reliability_slices.csv"),
                 RELIABILITY_SLICES_COLUMNS,
-                (r for label, h, _, _, bins in rows
+                (r for label, h, _, bins in rows
                  for r in reliability_rows(bins, label, h)), comments)
     for h, bins in pooled.items():
         emit_reliability_csv(bins, os.path.join(
@@ -300,7 +301,7 @@ def cmd_calibrate(args) -> int:
     write_table(os.path.join(args.out, "calibration.csv"),
                 {"scope": str, "head": str, "ece": float},
                 [("pooled", h, ece(bins)) for h, bins in pooled.items()]
-                + [(label, h, ece(bins)) for label, h, _, _, bins in rows],
+                + [(label, h, ece(bins)) for label, h, _, bins in rows],
                 comments)
     print(os.path.join(args.out, "calibration.csv"))
     return 0

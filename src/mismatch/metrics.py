@@ -36,16 +36,21 @@ def binarize(probs: np.ndarray) -> np.ndarray:
 def iou(pred: np.ndarray, gt: np.ndarray) -> float:
     """Intersection over union of two binary masks; 1.0 when both are
     empty (nothing to find, nothing found)."""
+    return float(slice_ious(np.asarray(pred)[None], np.asarray(gt)[None])[0])
+
+
+def slice_ious(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """`iou` of each pair of masks along the leading axis."""
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise DimensionError(f"iou: shapes {pred.shape} and {gt.shape} differ")
-    p = pred != 0
-    g = gt != 0
-    union = np.logical_or(p, g).sum()
-    if union == 0:
-        return 1.0
-    return float(np.logical_and(p, g).sum() / union)
+    n = pred.shape[0]
+    p = (pred != 0).reshape(n, -1 if n else 0)
+    g = (gt != 0).reshape(p.shape)
+    union = np.logical_or(p, g).sum(axis=1)
+    return np.divide(np.logical_and(p, g).sum(axis=1), union,
+                     out=np.ones(n), where=union > 0)
 
 
 @dataclass
@@ -60,6 +65,40 @@ class ReliabilityBins:
         return int(self.counts.sum())
 
 
+def _edges(m_bins: int, confidence: str) -> np.ndarray:
+    if m_bins < 1:
+        raise ParameterError("m_bins must be >= 1")
+    if confidence not in ("max", "raw"):
+        raise ParameterError(f"unknown confidence mode {confidence!r}")
+    return np.linspace(0.5 if confidence == "max" else 0.0, 1.0, m_bins + 1)
+
+
+def _bin_parts(probs, gt, edges: np.ndarray, confidence: str):
+    """The float64 parts of every diagram, per pixel in ravel order: its
+    bin index, its correctness (1.0 when `binarize` agrees with the ground
+    truth) and its confidence."""
+    p = np.asarray(probs, dtype=np.float64).ravel()
+    g = np.asarray(gt, dtype=np.float64).ravel()
+    if p.shape != g.shape:
+        raise DimensionError(f"reliability_bins: {p.shape} vs {g.shape}")
+    correct = (binarize(p) == (g != 0)).astype(np.float64)
+    conf = np.maximum(p, 1.0 - p) if confidence == "max" else p
+    m_bins = len(edges) - 1
+    idx = np.clip(np.searchsorted(edges, conf, side="left") - 1, 0, m_bins - 1)
+    return idx, correct, conf
+
+
+def _diagrams(edges, counts, acc_sum, conf_sum) -> list[ReliabilityBins]:
+    """One diagram per row of the (k, m_bins) per-bin sums."""
+    nz = counts > 0
+    accuracy = np.zeros(counts.shape)
+    conf_mean = np.zeros(counts.shape)
+    accuracy[nz] = acc_sum[nz] / counts[nz]
+    conf_mean[nz] = conf_sum[nz] / counts[nz]
+    return [ReliabilityBins(edges, *row)
+            for row in zip(counts, accuracy, conf_mean)]
+
+
 def reliability_bins(probs: np.ndarray, gt: np.ndarray, m_bins: int = 10,
                      confidence: str = "max") -> ReliabilityBins:
     """Bucket pixels into equal-width confidence bins; a pixel is correct
@@ -71,33 +110,51 @@ def reliability_bins(probs: np.ndarray, gt: np.ndarray, m_bins: int = 10,
     so every pixel lands in exactly one bin. Empty bins keep count 0 and
     zero accuracy/confidence, and weigh nothing in the ECE.
     """
-    if m_bins < 1:
-        raise ParameterError("m_bins must be >= 1")
-    if confidence not in ("max", "raw"):
-        raise ParameterError(f"unknown confidence mode {confidence!r}")
-    p = np.asarray(probs, dtype=np.float64).ravel()
-    g = np.asarray(gt, dtype=np.float64).ravel()
-    if p.shape != g.shape:
-        raise DimensionError(f"reliability_bins: {p.shape} vs {g.shape}")
-    correct = (binarize(p) == (g != 0)).astype(np.float64)
-    if confidence == "max":
-        conf = np.maximum(p, 1.0 - p)
-        lo = 0.5
-    else:
-        conf = p
-        lo = 0.0
-    edges = np.linspace(lo, 1.0, m_bins + 1)
-    idx = np.clip(np.searchsorted(edges, conf, side="left") - 1, 0, m_bins - 1)
-    counts = np.bincount(idx, minlength=m_bins)
-    acc_sum = np.bincount(idx, weights=correct, minlength=m_bins)
-    conf_sum = np.bincount(idx, weights=conf, minlength=m_bins)
-    nz = counts > 0
-    accuracy = np.zeros(m_bins)
-    conf_mean = np.zeros(m_bins)
-    accuracy[nz] = acc_sum[nz] / counts[nz]
-    conf_mean[nz] = conf_sum[nz] / counts[nz]
-    return ReliabilityBins(edges=edges, counts=counts, accuracy=accuracy,
-                           confidence=conf_mean)
+    edges = _edges(m_bins, confidence)
+    idx, correct, conf = _bin_parts(probs, gt, edges, confidence)
+    return _diagrams(edges, *(np.bincount(idx, w, m_bins)[None]
+                              for w in (None, correct, conf)))[0]
+
+
+class PooledBins:
+    """One pooled reliability diagram of max(p, 1-p) confidence, fed a
+    stack of slices at a time, which also returns each fed slice's own
+    diagram.
+
+    Every pixel is binned once. Bin counts and correct-sums are exact
+    integers, and each bin's confidences are added onto its running total
+    in pixel order, so the pooled diagram is bitwise `reliability_bins`
+    over every fed pixel concatenated, and each slice's diagram is that
+    over the slice alone. Only the per-bin sums are kept between stacks.
+    """
+
+    def __init__(self, m_bins: int = 10):
+        self.edges = _edges(m_bins, "max")
+        self.counts = np.zeros(m_bins, dtype=np.intp)
+        self.acc_sum = np.zeros(m_bins)
+        self.conf_sum = np.zeros(m_bins)
+
+    def add(self, probs: np.ndarray, gt: np.ndarray) -> list[ReliabilityBins]:
+        """Pool a stack of slices (leading axis) and return their diagrams,
+        from one bincount over slice * m_bins + bin keys per sum."""
+        probs = np.asarray(probs)
+        if probs.shape != np.shape(gt):
+            raise DimensionError(f"reliability_bins: {probs.shape} vs "
+                                 f"{np.shape(gt)}")
+        idx, correct, conf = _bin_parts(probs, gt, self.edges, "max")
+        n, m = probs.shape[0], len(self.counts)
+        keys = (idx.reshape(n, -1 if n else 0)
+                + np.arange(0, n * m, m)[:, None]).ravel()
+        sums = [np.bincount(keys, w, n * m).reshape(n, m)
+                for w in (None, correct, conf)]
+        self.counts += sums[0].sum(axis=0)
+        self.acc_sum += sums[1].sum(axis=0)
+        np.add.at(self.conf_sum, idx, conf)  # unbuffered, in pixel order
+        return _diagrams(self.edges, *sums)
+
+    def bins(self) -> ReliabilityBins:
+        return _diagrams(self.edges, self.counts[None], self.acc_sum[None],
+                         self.conf_sum[None])[0]
 
 
 def ece(bins: ReliabilityBins) -> float:

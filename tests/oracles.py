@@ -260,6 +260,39 @@ def naive_ece(probs, gt, m_bins, confidence="max", threshold=0.5):
     return total
 
 
+def _whole_bins(p, g, m_bins):
+    """(edges, counts, accuracy, confidence) of one max(p, 1-p) diagram,
+    binned in one pass over float64 copies of every pixel."""
+    p = np.asarray(p, dtype=np.float64).ravel()
+    g = np.asarray(g, dtype=np.float64).ravel()
+    correct = ((p >= 0.5) == (g != 0)).astype(np.float64)
+    conf = np.maximum(p, 1.0 - p)
+    edges = np.linspace(0.5, 1.0, m_bins + 1)
+    idx = np.clip(np.searchsorted(edges, conf, side="left") - 1, 0, m_bins - 1)
+    counts = np.bincount(idx, minlength=m_bins)
+    acc_sum = np.bincount(idx, weights=correct, minlength=m_bins)
+    conf_sum = np.bincount(idx, weights=conf, minlength=m_bins)
+    nz = counts > 0
+    accuracy = np.zeros(m_bins)
+    conf_mean = np.zeros(m_bins)
+    accuracy[nz] = acc_sum[nz] / counts[nz]
+    conf_mean[nz] = conf_sum[nz] / counts[nz]
+    return edges, counts, accuracy, conf_mean
+
+
+def whole_split_bins(probs, gts, m_bins):
+    """Reliability diagrams of a split as one whole-split pass makes them:
+    one per slice, each binned on its own, and the pooled one binned once
+    over every case's pixels concatenated. `probs` and `gts` list each
+    case's (slices, ...) stack; returns ([per-slice diagram], pooled), each
+    an (edges, counts, accuracy, confidence) tuple."""
+    per_slice = [_whole_bins(p[s], g[s], m_bins)
+                 for p, g in zip(probs, gts) for s in range(len(p))]
+    pooled = _whole_bins(np.concatenate([p.ravel() for p in probs]),
+                         np.concatenate([g.ravel() for g in gts]), m_bins)
+    return per_slice, pooled
+
+
 def fd_gradient(f, arrays, h=1e-5):
     """Central finite differences of scalar f() w.r.t. each array, element
     by element, mutating in place and restoring. 64-bit only."""

@@ -1,6 +1,7 @@
 import os
 import shutil
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,10 +17,11 @@ from mismatch.data import (BLOB_WORKING_BYTES, CASE_OBJECT_BYTES,
                            load_caseset)
 from mismatch.errors import NumericalAbort
 from mismatch.metrics import (RELIABILITY_SLICES_COLUMNS, ReliabilityBins,
-                              ece, read_metrics_csv, read_reliability_csv,
-                              read_table)
+                              binarize, ece, iou, read_metrics_csv,
+                              read_reliability_csv, read_table)
 from mismatch.nets import average_prediction, init_params, model_forward
 from mismatch.training import load_model, read_history_csv, save_checkpoint
+from oracles import whole_split_bins
 
 FAST = ["--set", "model.channels=2", "--set", "train.epochs=2",
         "--set", "train.save_last_k=2", "--set", "data.labelled_slices=2"]
@@ -494,6 +496,88 @@ def test_non_finite_last_chunk_exits_before_any_file(tmp_path, monkeypatch,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("MM-ERR:"), err
     assert not list((tmp_path / "out").rglob("*"))
+
+
+# every interior edge at 10 bins is a confidence of some value here, and
+# 0 and 1 are confidence 1, the top edge
+EDGE_PROBS = np.array([0.0, 0.5, 0.55, 0.75, 1.0])
+
+
+def _ragged_split(rng, heads, dtype):
+    """1-5 cases of 1-4 slices each, sides 4-16, and each case's head
+    probabilities, about a third of them exactly on EDGE_PROBS."""
+    cases, probs = [], {}
+    for i in range(int(rng.integers(1, 6))):
+        shape = (int(rng.integers(1, 5)), 1, *rng.integers(4, 17, size=2))
+        case = Case(f"case{i}", np.zeros(shape),
+                    (rng.random(shape) < 0.4).astype(np.float64), True)
+        probs[case.case_id] = {}
+        for h in heads:
+            p = rng.random(shape)
+            on_edge = rng.random(shape) < 1 / 3
+            p[on_edge] = rng.choice(EDGE_PROBS, int(on_edge.sum()))
+            probs[case.case_id][h] = p.astype(dtype)
+        cases.append(case)
+    return cases, probs
+
+
+@pytest.mark.parametrize("heads", [["p"], ["p1", "p2", "avg"]])
+@pytest.mark.parametrize("m_bins", [1, 3, 10, 1000])
+def test_score_bins_bitwise_as_one_whole_split_pass(monkeypatch, heads,
+                                                    m_bins):
+    # the streamed pass against binning the whole split at once: every
+    # array of every per-slice and pooled diagram is equal by bytes
+    rng = np.random.default_rng(m_bins)
+    for trial in range(12):
+        cases, probs = _ragged_split(
+            rng, heads, np.float64 if trial % 2 else np.float32)
+        monkeypatch.setattr(cli, "_case_probs",
+                            lambda model, case: dict(probs[case.case_id]))
+        rows, pooled = cli._score(None, cases, heads, m_bins)
+        assert [r[:2] for r in rows] == [
+            (f"{c.case_id}_s{s:03d}", h)
+            for c in cases for s in range(len(c.mask)) for h in heads]
+        for i, h in enumerate(heads):
+            per_slice, want_pooled = whole_split_bins(
+                [probs[c.case_id][h] for c in cases],
+                [c.mask for c in cases], m_bins)
+            got = [r[3] for r in rows[i::len(heads)]]
+            for bins, want in zip(got + [pooled[h]],
+                                  per_slice + [want_pooled], strict=True):
+                for name, array in zip(("edges", "counts", "accuracy",
+                                        "confidence"), want):
+                    assert getattr(bins, name).dtype == array.dtype, name
+                    assert getattr(bins, name).tobytes() == \
+                        array.tobytes(), name
+            want_ious = [iou(binarize(probs[c.case_id][h][s]), c.mask[s])
+                         for c in cases for s in range(len(c.mask))]
+            assert [r[2] for r in rows[i::len(heads)]] == want_ious
+
+
+def test_score_holds_one_case_at_a_time():
+    # _score's tracemalloc peak, beyond the cases' own bytes, for a split
+    # of one case and of the same case eight times: the larger split may
+    # add only its 7 x 4 x 3 more per-slice diagrams (three arrays of
+    # m_bins 8-byte cells and up to 1 KiB of objects each), nothing that
+    # grows with its pixels or holds a second case's probabilities
+    model = init_params("MM", channels=2, seed=1)
+    heads = cli._head_names(model)
+    rng = np.random.default_rng(0)
+    shape = (4, 1, 32, 32)
+    case = Case("c", rng.standard_normal(shape),
+                (rng.random(shape) < 0.3).astype(np.float64), True)
+
+    def peak(copies):
+        tracemalloc.start()
+        try:
+            cli._score(model, [case] * copies, heads, 10)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # one-time allocations
+    diagrams = 7 * shape[0] * len(heads)
+    assert peak(8) - peak(1) <= diagrams * (3 * 8 * 10 + 1024)
 
 
 def test_bins_beyond_physical_memory_are_refused_before_out(

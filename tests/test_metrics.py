@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from mismatch.errors import DimensionError, FormatError, ParameterError
-from mismatch.metrics import (MetricsRow, ReliabilityBins, binarize, ece,
-                              emit_metrics_csv, emit_reliability_csv, iou,
-                              read_metrics_csv, read_reliability_csv,
-                              reliability_bins)
+from mismatch.metrics import (MetricsRow, PooledBins, ReliabilityBins,
+                              binarize, ece, emit_metrics_csv,
+                              emit_reliability_csv, iou, read_metrics_csv,
+                              read_reliability_csv, reliability_bins,
+                              slice_ious)
 from oracles import naive_ece
 
 
@@ -26,6 +27,8 @@ def test_iou_edge_cases():
     assert iou(full, empty) == 0.0
     with pytest.raises(DimensionError):
         iou(np.zeros(3), np.zeros(4))
+    with pytest.raises(DimensionError):
+        slice_ious(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 def test_iou_is_symmetric_and_layout_blind():
@@ -36,6 +39,16 @@ def test_iou_is_symmetric_and_layout_blind():
         assert iou(a, b) == iou(b, a)
         perm = rng.permutation(36)
         assert iou(a.ravel()[perm], b.ravel()[perm]) == iou(a, b)
+
+
+def test_slice_ious_are_each_slices_iou():
+    rng = np.random.default_rng(93)
+    pred = rng.random((5, 4, 3)) < 0.4
+    gt = rng.random((5, 4, 3)) < 0.4
+    pred[1] = gt[1] = False  # both empty
+    assert slice_ious(pred, gt).tolist() == [iou(p, g)
+                                             for p, g in zip(pred, gt)]
+    assert slice_ious(pred[:0], gt[:0]).shape == (0,)
 
 
 def test_binarize_threshold_and_ties():
@@ -118,6 +131,10 @@ def test_reliability_validation():
         reliability_bins(np.ones(3), np.ones(3), confidence="softmax")
     with pytest.raises(DimensionError):
         reliability_bins(np.ones(3), np.ones(4))
+    with pytest.raises(ParameterError):
+        PooledBins(0)
+    with pytest.raises(DimensionError):  # equal sizes, other slices
+        PooledBins().add(np.ones((2, 3)), np.ones((3, 2)))
     with pytest.raises(ParameterError):
         ece(ReliabilityBins(np.array([0.5, 1.0]), np.array([0]),
                             np.zeros(1), np.zeros(1)))
