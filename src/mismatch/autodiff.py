@@ -548,11 +548,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int,
     needs padding = dilation*(K-1)/2 for odd K. Internally one GEMM per
     kernel tap over strided views of the flat padded input (`_conv_flat`),
     with no column buffer, over only each sample's output rows. The tape
-    keeps only the padded input. The input gradient is the same walk over
-    each sample's input rows of the padded output gradient, with the
-    flipped, channel-transposed weights, and the weight gradient reduces
-    over the forward's columns; the quadruple-loop definition is kept in
-    the test suite as the oracle.
+    keeps the input, not its padded copy: the backward lays the padded
+    grid out again for the weight gradient. The input gradient is the same
+    walk over each sample's input rows of the padded output gradient, with
+    the flipped, channel-transposed weights, and the weight gradient
+    reduces over the forward's columns; the quadruple-loop definition is
+    kept in the test suite as the oracle.
     """
     out, bw = _conv(x, w, b, padding, dilation)
     return record_op("conv2d", (x, w, b), out, bw)
@@ -613,13 +614,19 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, padding: int, dilation: int):
     # start, so each tap is one strided (c, ho*wp) view per sample, and
     # the output comes out NCHW. The columns past wo wrap into the next
     # row; the bias add writes the output without them. The tail keeps the
-    # last tap's view in bounds.
+    # last tap's view in bounds. The grid copies x, which the tape keeps
+    # anyway, so it goes with the forward and the backward lays it out
+    # again.
     hp, wp = h + 2 * p, wd + 2 * p
     m, tail = n * hp * wp, (eff - 1) * (wp + 1)
-    xf = _flat_grid(x.data, hp, wp, p, tail)
+    xd = x.data
     taps = w.data.transpose(2, 3, 0, 1)
-    xv = _tap_view(xf, k, d, wp, n, ho * wp, hp * wp)
-    out = _conv_flat(taps, xv)
+
+    def x_view():
+        return _tap_view(_flat_grid(xd, hp, wp, p, tail), k, d, wp, n,
+                         ho * wp, hp * wp)
+
+    out = _conv_flat(taps, x_view())
     out = np.add(out.reshape(n, o, ho, wp)[..., :wo], b.data[:, None, None])
     needs_gx = x.requires_grad
 
@@ -635,7 +642,7 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, padding: int, dilation: int):
         # p..p+h of gp with the flipped, channel-transposed kernel.
         gp = _flat_grid(g, hp, wp, eff - 1, tail)
         gf = gp[:, tail:tail + m].reshape(o, n, hp * wp)[:, :, :ho * wp]
-        gw = _conv_weight_grad(gf, xv).transpose(2, 3, 0, 1)
+        gw = _conv_weight_grad(gf, x_view()).transpose(2, 3, 0, 1)
         if not needs_gx:
             return (None, gw, gb)
         gx = _conv_flat(taps[::-1, ::-1].transpose(0, 1, 3, 2),

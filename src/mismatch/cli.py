@@ -122,11 +122,15 @@ def run_training(variant: str, cfg: dict[str, str], caseset, out_dir,
     elif unlabelled is None:
         raise ConfigError(f"variant {variant} needs an unlabelled_train split")
 
-    # a width beyond memory or an input the model cannot take leaves no
-    # out_dir, and an unusable out_dir fails here, not after the whole
-    # training run; make_streams gave every training slice one shape
+    # a width beyond memory, an input the model cannot take or a step
+    # beyond memory leaves no out_dir, and an unusable out_dir fails here,
+    # not after the whole training run; make_streams gave every training
+    # slice one shape, and an unlabelled batch joins the labelled one
     model = init_params(variant, tc.channels, tc.in_channels, seed=tc.seed)
-    nets.check_input(model.params, (1, *labelled.slice_shape))
+    shape = (1, *labelled.slice_shape)
+    nets.check_input(model.params, shape)
+    nets.check_step(model, shape,
+                    tc.batch_size * (1 if unlabelled is None else 2))
     _check_scored(model, scored)
     os.makedirs(out_dir, exist_ok=True)
     final, averaged, history = train(tc, model, labelled, unlabelled)
@@ -184,11 +188,13 @@ def _split_cases(caseset: CaseSet, split: str) -> list:
     return cases
 
 
-# Bytes a reliability bin costs per diagram at calibrate's peak: the
-# diagram's four arrays and its rows of reliability_slices.csv. From
-# --bins 20,000 to 100,000, calibrate's peak RSS grew by 69 B per bin per
-# diagram (9 diagrams) and eval's by 26 B (3 diagrams).
-BIN_BYTES = 80
+# Bytes a reliability bin costs per diagram at the peak of eval or
+# calibrate: the diagram's four arrays; write_table holds the text of only
+# a piece of reliability_slices.csv's rows at a time. At --bins 20,000 to
+# 100,000 over 2- to 16-slice test splits, peak RSS grew by 26-34 B per
+# bin per diagram on calibrate (9-51 diagrams; 27-30 B with 260-character
+# case paths) and 30-39 B on eval (3-17 diagrams).
+BIN_BYTES = 48
 
 
 def _check_bins(m_bins: int, cases, heads: int) -> None:

@@ -307,15 +307,19 @@ def make_streams(caseset: CaseSet, labelled_slices: int, seed: int,
 # ---------------------------------------------------------------------------
 # files and binary records
 
-def write_atomic(path, payload: bytes) -> None:
-    """Write a file whole or not at all: the payload goes to a temporary
-    name in the same directory, then one rename replaces `path`. Every
-    file the package writes is written here, with a plain open()'s mode."""
+def write_atomic(path, payload) -> None:
+    """Write a file whole or not at all: the payload, bytes or an iterable
+    of bytes pieces, goes to a temporary name in the same directory, then
+    one rename replaces `path`. Every file the package writes is written
+    here, with a plain open()'s mode."""
     tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
     f = open(tmp, "xb")
     try:
         with f:
-            f.write(payload)
+            if isinstance(payload, (bytes, bytearray)):
+                f.write(payload)
+            else:
+                f.writelines(payload)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -8,9 +8,9 @@ between per-bin accuracy and per-bin mean confidence.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 from dataclasses import astuple, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -169,23 +169,36 @@ def ece(bins: ReliabilityBins) -> float:
 # ---------------------------------------------------------------------------
 # CSV tables
 
+# Rows write_table holds as text at once: it hands the file a table's text
+# a piece of this many rows at a time, so a table of any length or label
+# size never holds its whole text.
+TABLE_PIECE_ROWS = 1024
+
+
 def write_table(path, columns: dict[str, type], rows,
                 header_comments: tuple[str, ...] = ()) -> None:
     """The one CSV writer: "# " comment lines, the header, then the rows,
     float columns through fmt_float and other cells through str. A cell is
     quoted only when it holds a comma, a quote or a line break."""
-    text = io.StringIO()
-    text.writelines(f"# {line}\n" for line in header_comments)
-    minimal = csv.writer(text, lineterminator="\n")
+    lines = [f"# {line}\n" for line in header_comments]
+    sink = SimpleNamespace(write=lines.append)  # csv writes one line a row
+    minimal = csv.writer(sink, lineterminator="\n")
     # csv quotes a bare "\r" only when it is part of the line terminator
-    quote_all = csv.writer(text, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    minimal.writerow(columns)
+    quote_all = csv.writer(sink, lineterminator="\n", quoting=csv.QUOTE_ALL)
     fmts = [fmt_float if kind is float else str for kind in columns.values()]
-    for row in rows:
-        cells = [fmt(v) for fmt, v in zip(fmts, row, strict=True)]
-        (quote_all if any("\r" in c for c in cells) else minimal).writerow(
-            cells)
-    write_atomic(path, text.getvalue().encode("utf-8"))
+
+    def pieces():
+        minimal.writerow(columns)
+        for row in rows:
+            cells = [fmt(v) for fmt, v in zip(fmts, row, strict=True)]
+            (quote_all if any("\r" in c for c in cells) else minimal
+             ).writerow(cells)
+            if len(lines) >= TABLE_PIECE_ROWS:
+                yield "".join(lines).encode("utf-8")
+                lines.clear()
+        yield "".join(lines).encode("utf-8")
+
+    write_atomic(path, pieces())
 
 
 def read_table(path, columns: dict[str, type]) -> list[list]:

@@ -185,6 +185,32 @@ def check_forward(params, shape) -> None:
                  f"a width-{width} forward of one {h}x{w} slice")
 
 
+# Bytes per pixel per base-width channel per sample that one recorded
+# training step (forward, losses and backward) holds at its peak, per
+# decoder kinds. tracemalloc peaks of one step read, at widths 8 and 16,
+# sides 32 and 64 and joint batches 2 and 4: MM and Sup2 366.5-386.0, MM-a
+# 201.7-225.3, MM-b 291.4-309.6, MM-c 271.4-302.1, Sup1 125.9-147.4 and
+# Morph 289.9-305.6, the highest at width 8, side 32, batch 2.
+STEP_BYTES = {
+    ("pasb", "nasb"): 400,
+    ("standard", "standard"): 235,
+    ("standard", "nasb"): 320,
+    ("standard", "pasb"): 310,
+    ("standard",): 155,
+    ("morph_dilate", "morph_erode"): 315,
+}
+
+
+def check_step(model: Model, shape, batch: int) -> None:
+    """Refuse, as ParameterError, a training step of `batch` samples of
+    NCHW `shape` images whose recorded forward and backward would hold more
+    than physical memory."""
+    width = model.params["enc0.main1.w"].shape[0]
+    h, w = shape[2], shape[3]
+    check_memory(STEP_BYTES[model.decoders] * width * h * w * batch,
+                 f"a width-{width} training step of {batch} {h}x{w} slices")
+
+
 def encoder_forward(image: Tensor, params):
     """Three standard blocks with 2x2 max pooling between them.
 

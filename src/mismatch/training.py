@@ -315,27 +315,7 @@ def train(config: TrainConfig, model: Model, labelled_stream,
             if stop_gradient_audit and xu is not None:
                 _audit_stop_gradient(model, xu, step)
 
-            with Tape():
-                # One forward over the labelled and any unlabelled samples.
-                # Every op is per sample, so each half equals its own
-                # forward, and at zero weight the term's gradient is exactly
-                # +-0: the step is then bitwise the supervised one.
-                x = xb if xu is None else np.concatenate([xb, xu])
-                heads = model_forward(model, Tensor(x))
-                if xu is not None:
-                    nb = len(xb)
-                    heads, up = ([take_batch(p, 0, nb) for p in heads],
-                                 [take_batch(p, nb, len(x)) for p in heads])
-                target = Tensor(yb)
-                dice = [dice_loss(p, target, config.dice_smooth)
-                        for p in heads]
-                total = reduce(add, dice)
-                cons_val = 0.0
-                if xu is not None:
-                    cons = consistency_loss(*up, config.consistency_mode)
-                    cons_val = cons.item()
-                    total = add(total, scale(cons, a))
-
+            dice, cons_val, total = _step_loss(config, model, xb, yb, xu, a)
             total_val = total.item()
             if not np.isfinite(total_val):
                 raise NumericalAbort(f"non-finite loss {total_val} at step "
@@ -360,6 +340,31 @@ def train(config: TrainConfig, model: Model, labelled_stream,
 
     averaged = average_checkpoints(list(snapshots))
     return model, averaged, history
+
+
+def _step_loss(config: TrainConfig, model: Model, xb, yb, xu, a: float):
+    """One step's recorded forward: (Dice per head, the consistency value,
+    the total loss Tensor to differentiate)."""
+    with Tape():
+        # One forward over the labelled and any unlabelled samples. Every
+        # op is per sample, so each half equals its own forward, and at
+        # zero weight the term's gradient is exactly +-0: the step is then
+        # bitwise the supervised one.
+        x = xb if xu is None else np.concatenate([xb, xu])
+        heads = model_forward(model, Tensor(x))
+        if xu is not None:
+            nb = len(xb)
+            heads, up = ([take_batch(p, 0, nb) for p in heads],
+                         [take_batch(p, nb, len(x)) for p in heads])
+        target = Tensor(yb)
+        dice = [dice_loss(p, target, config.dice_smooth) for p in heads]
+        total = reduce(add, dice)
+        cons_val = 0.0
+        if xu is not None:
+            cons = consistency_loss(*up, config.consistency_mode)
+            cons_val = cons.item()
+            total = add(total, scale(cons, a))
+    return dice, cons_val, total
 
 
 def _audit_stop_gradient(model, xu, step):

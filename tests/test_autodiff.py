@@ -228,25 +228,35 @@ def test_conv_walk_bands_are_bitwise_the_tap_loop(monkeypatch, dtype):
 
 def test_recorded_conv2d_keeps_no_column_buffer():
     # im2col kept c*k*k*n*ho*wp floats alive from forward to backward, 9x
-    # the padded input: 1.9 MB for this float32 24 -> 8 conv at 32x32
+    # the padded input, and the padded input itself duplicated x, which the
+    # tape keeps anyway. A recorded conv2d now keeps its output, and a
+    # recorded stage its output, relu's mask and the norm's xhat, with
+    # less than one padded grid of slack: this float32 24 -> 8 conv at
+    # 32x32 pads each sample to 34x34, plus a tail of 2*35 columns
     rng = np.random.default_rng(37)
     x = Tensor(rng.standard_normal((2, 24, 32, 32)).astype(np.float32),
                requires_grad=True)
     w = Tensor(rng.standard_normal((8, 24, 3, 3)).astype(np.float32),
                requires_grad=True)
     b = Tensor(np.zeros(8, np.float32), requires_grad=True)
-    cols_bytes = 24 * 9 * 2 * 32 * 34 * 4
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        with Tape() as tape:
-            out = conv2d(x, w, b, 1)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert retained < cols_bytes / 4, retained
-    gx, gw, _ = tape.nodes[-1].backward_fn(np.ones_like(out.data))
-    assert gx.shape == x.shape and gw.shape == w.shape
+    gamma = Tensor(np.ones(8, np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(8, np.float32), requires_grad=True)
+    grid_bytes = 24 * (2 * 34 * 34 + 2 * 35) * 4
+    out_bytes = 2 * 8 * 32 * 32 * 4
+    for op, kept in ((lambda: conv2d(x, w, b, 1), out_bytes),
+                     (lambda: conv_relu_norm(x, w, b, gamma, beta, 1),
+                      out_bytes * 2 + out_bytes // 4)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                out = op()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= retained < kept + grid_bytes, (retained, kept)
+        grads = tape.nodes[-1].backward_fn(np.ones_like(out.data))
+        assert grads[0].shape == x.shape and grads[1].shape == w.shape
 
 
 # Every conv -> relu -> norm stage of an MM step: MM_STEP_CONVS but the

@@ -585,13 +585,13 @@ def test_bins_beyond_physical_memory_are_refused_before_out(
     # the test split is one case of 2 slices: eval scores one head's 3
     # reliability diagrams (2 slices and the pooled one), calibrate three
     # heads' 9. 130 pages of 4 KiB hold the 530,432 bytes of one 8x8
-    # slice's forward (below) and, at BIN_BYTES per bin and diagram, 2218
-    # bins for eval and 739 for calibrate; one bin more is refused
-    assert cli.BIN_BYTES == 80
+    # slice's forward (below) and, at BIN_BYTES per bin and diagram, 3697
+    # bins for eval and 1232 for calibrate; one bin more is refused
+    assert cli.BIN_BYTES == 48
     monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 130,
                                         "SC_PAGE_SIZE": 4096}.__getitem__)
     ckpt = os.path.join(trained_mm, "averaged.ckpt")
-    for command, fits, diagrams in (("eval", 2218, 3), ("calibrate", 739, 9)):
+    for command, fits, diagrams in (("eval", 3697, 3), ("calibrate", 1232, 9)):
         argv = [command, "--checkpoint", ckpt, "--data", dataset]
         assert main(argv + ["--bins", str(fits),
                             "--out", str(tmp_path / command)]) == 0
@@ -601,9 +601,37 @@ def test_bins_beyond_physical_memory_are_refused_before_out(
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("MM-ERR:")
         assert err[0].endswith(f"for {diagrams} reliability diagrams: "
-                               f"{80 * (fits + 1) * diagrams} bytes, over "
+                               f"{48 * (fits + 1) * diagrams} bytes, over "
                                f"the 532480 bytes of physical memory")
         assert not out.exists()
+
+
+def test_bins_peak_within_their_counted_bytes(trained_mm, dataset,
+                                               tmp_path, capsys):
+    # calibrate's tracemalloc peak at 20,000 bins exceeds its peak at 10 by
+    # at most BIN_BYTES per bin per diagram, with case paths of 190
+    # characters in every row of reliability_slices.csv
+    nest = "/".join(["d" * 30] * 6)
+    shutil.copytree(os.path.dirname(dataset), tmp_path / nest)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("".join(f"{nest}/{line}"
+                                for line in open(dataset)))
+    ckpt = os.path.join(trained_mm, "averaged.ckpt")
+
+    def peak(bins):
+        argv = ["calibrate", "--checkpoint", ckpt, "--data", str(manifest),
+                "--bins", str(bins), "--out", str(tmp_path / f"c{bins}")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # one-time allocations
+    grown = peak(20000) - peak(10)
+    assert grown <= cli.BIN_BYTES * 20000 * 9, grown / 20000 / 9
+    capsys.readouterr()
 
 
 def test_forward_beyond_physical_memory_is_refused_before_out(
@@ -641,6 +669,49 @@ def test_forward_beyond_physical_memory_is_refused_before_out(
         assert err[0].endswith(f"a width-2 forward of one 8x8 slice: {nbytes} "
                                f"bytes, over the {nbytes - 1} bytes of "
                                f"physical memory")
+        assert not out.exists()
+
+
+def test_step_beyond_physical_memory_is_refused_before_out(
+        dataset, tmp_path, monkeypatch, capsys):
+    # a width-8 MM step on 8x8 slices at batch 2, joined by an unlabelled
+    # batch of 2, counts STEP_BYTES per pixel, channel and sample: more
+    # than its parameters or the test case's one-slice forward. With
+    # exactly that much physical memory, train and a one-arm sweep run, and
+    # Sup2, the same layout with no unlabelled batch, runs on half of it;
+    # with one byte less, each is refused before --out is made, the sweep
+    # before its arm trains
+    nbytes = nets.STEP_BYTES[("pasb", "nasb")] * 8 * 8 * 8 * 4
+    assert nbytes == 819200
+    memory = {"SC_PHYS_PAGES": nbytes, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+    step = FAST + ["--set", "model.channels=8", "--set", "train.batch_size=2"]
+    commands = {
+        "train": (["train", "--variant", "MM", "--data", dataset] + step,
+                  nbytes),
+        "sweep-alpha": (["sweep-alpha", "--data", dataset, "--values", "0",
+                         "--seeds", "0"] + step, nbytes),
+        "sup2": (["train", "--variant", "Sup2", "--data", dataset] + step,
+                 nbytes // 2),
+    }
+    for command, (argv, fits) in commands.items():
+        memory["SC_PHYS_PAGES"] = fits
+        assert main(argv + ["--out", str(tmp_path / command)]) == 0
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("an arm trained")
+
+    monkeypatch.setattr(cli, "train", never)
+    for command, (argv, fits) in commands.items():
+        memory["SC_PHYS_PAGES"] = fits - 1
+        out = tmp_path / f"{command}_refused"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("MM-ERR:")
+        assert err[0].endswith(f"a width-8 training step of {fits // 204800}"
+                               f" 8x8 slices: {fits} bytes, over the "
+                               f"{fits - 1} bytes of physical memory")
         assert not out.exists()
 
 

@@ -2,13 +2,15 @@
 with commas, quotes and a leading '#' round-trip, damaged rows are a
 FormatError, and a failed write leaves the previous file in place."""
 
+import csv
 import errno
 import io
 import os
+import tracemalloc
 
 import pytest
 
-from mismatch import data
+from mismatch import data, metrics
 from mismatch.cli import main
 from mismatch.data import write_tensor
 from mismatch.errors import FormatError
@@ -74,6 +76,35 @@ WRITERS = {
         lambda p: write_table(p, RELIABILITY_SLICES_COLUMNS, SLICE_ROWS),
         _read_slices),
 }
+
+
+def test_long_table_is_written_a_piece_at_a_time(tmp_path):
+    # a table of long labels, several pieces long, writes the text of one
+    # csv pass over its rows, comments first, while holding about one
+    # piece of its rows: about 5 MB of text here, against a peak under 2 MB
+    label = "dir_" * 60 + '#a,"b"\r'
+    rows = 16 * metrics.TABLE_PIECE_ROWS + 3
+    text = io.StringIO()
+    text.write("# k=v\n")
+    csv.writer(text, lineterminator="\n").writerow(RELIABILITY_SLICES_COLUMNS)
+    quoted = csv.writer(text, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for i in range(rows):
+        quoted.writerow([label, "p1", *(metrics.fmt_float(i / 7),) * 2, i,
+                         "0.5", "0.25"])
+
+    def table():
+        return ((label, "p1", i / 7, i / 7, i, 0.5, 0.25)
+                for i in range(rows))
+
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        write_table(path, RELIABILITY_SLICES_COLUMNS, table(), ("k=v",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == text.getvalue().encode("utf-8")
+    assert len(text.getvalue()) > 4_800_000 and peak < 2_000_000, peak
 
 
 def _extra_field(body):

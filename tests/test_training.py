@@ -1,9 +1,11 @@
 import ctypes
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import mismatch.nets as nets
 import mismatch.training as training
 from mismatch.autodiff import Tape, Tensor, backward, mse, scale, add
 from mismatch.data import casewise_normalize, gen_synthetic_case
@@ -490,6 +492,42 @@ def test_train_keeps_its_heap_between_steps():
     assert len(faults) == 48
     per_step = np.diff(faults[8:])
     assert per_step.mean() < 50, per_step
+
+
+def test_training_step_peaks_within_its_counted_bytes():
+    # the tracemalloc peak of one recorded step (the forward, Dice per head,
+    # any consistency term and the backward) after a warm-up step, for
+    # every decoder layout: within nets.STEP_BYTES per pixel, base-width
+    # channel and sample of the joint batch, and at the last shape at
+    # least 3/4 of it, so a count that memory use fell well below shows too
+    layouts = {spec.decoders: name
+               for name, spec in reversed(list(nets.VARIANTS.items()))}
+    assert set(layouts) == set(nets.STEP_BYTES)
+    rng = np.random.default_rng(62)
+    cfg = TrainConfig()
+    for kinds, name in layouts.items():
+        semi = nets.VARIANTS[name].semi_supervised
+        for width, side, n in ((8, 32, 2), (16, 32, 4), (8, 64, 2)):
+            model = init_params(name, width, seed=0)
+            x = rng.standard_normal((n, 1, side, side)).astype(np.float32)
+            nb = n // 2 if semi else n
+            y = (rng.random((nb, 1, side, side)) < 0.3).astype(np.float32)
+            xu = x[nb:] if semi else None
+
+            def step():
+                backward(training._step_loss(cfg, model, x[:nb], y, xu,
+                                             0.05)[2])
+
+            step()
+            tracemalloc.start()
+            try:
+                step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            counted = nets.STEP_BYTES[kinds] * width * side * side * n
+            assert peak <= counted, (name, width, side, n, peak, counted)
+        assert peak >= 0.75 * counted, (name, peak, counted)
 
 
 # ---------------------------------------------------------------------------
