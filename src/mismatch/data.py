@@ -529,10 +529,16 @@ TUBE_WORKING_BYTES = 16
 # most 10.9 KB per row at size 4 (300 seeds, noise 0 and 0.8) and 6.5 KB
 # at size 512 (20 seeds, noise 0).
 TUBE_ROW_BYTES = 12288
-# Bytes per size**2 that _blob_slice's float64 (size, size) arrays hold at
-# their peak: about ten of them. Drawing one blob slice grew peak RSS by
-# 19.8 MiB at size 512 and 74.3 MiB at size 1024 (20 and 80 predicted).
-BLOB_WORKING_BYTES = 80
+# Bytes per size**2 that _blob_slice's arrays hold at their peak: ten
+# float64 (size, size) arrays, its bool mask and the last slice's. After a
+# warm-up case, blob cases peaked (tracemalloc) beyond their pixels and
+# CASE_OBJECT_BYTES at 81 B per pixel plus 920-976 B for one slice, and 82
+# plus 1,304-1,360 B for three, at sizes 4-180 (5 seeds, noise 0 and 0.8);
+# from size 184 numpy reuses temporaries in place, and one slice reads 73.
+BLOB_WORKING_BYTES = 82
+# Bytes drawing a blob slice holds whatever its size: its draws' and its
+# arrays' objects (the 920-1,360 B above)
+BLOB_OBJECT_BYTES = 2048
 
 
 def gen_caseset(seed: int, kind: str, n_cases: int, slices: int, size: int,
@@ -549,7 +555,8 @@ def gen_caseset(seed: int, kind: str, n_cases: int, slices: int, size: int,
     # slice is drawn in a working set of its own; Python ints never wrap
     nbytes = n_cases * (slices * size * size * 16 + CASE_OBJECT_BYTES)
     nbytes += (TUBE_WORKING_BYTES * size ** 2 + TUBE_ROW_BYTES * size
-               if kind == "tubes" else BLOB_WORKING_BYTES * size ** 2)
+               if kind == "tubes"
+               else BLOB_WORKING_BYTES * size ** 2 + BLOB_OBJECT_BYTES)
     check_memory(nbytes, f"{n_cases} cases of {slices} {size}x{size} slices")
     ss = np.random.SeedSequence(seed).spawn(n_cases)
     order = [name for name in SPLIT_NAMES for _ in range(counts[name])]

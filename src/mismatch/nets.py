@@ -393,7 +393,8 @@ def param_shapes(model: Model) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def clone_params(model: Model) -> Model:
-    """Deep copy of the values; snapshots stay frozen while training keeps
-    mutating, and carry no gradient buffer."""
+    """Deep copy of the values, frozen while the source keeps training, and
+    with no gradient buffer. Training does not call it: it sums its last
+    epoch ends in place, bitwise average_checkpoints of such copies."""
     return bind(model.decoders, param_shapes(model), model.flat.data.copy(),
                 trainable=False)

@@ -2,15 +2,15 @@
 
 Supervision is soft Dice on labelled batches; the semi-supervised signal
 is a symmetric stop-gradient MSE between the two decoder heads on
-unlabelled batches, ramped in by a linear warm-up. End-of-epoch parameter
-snapshots are kept and their elementwise mean is the evaluation model.
+unlabelled batches, ramped in by a linear warm-up. The parameters at the
+last save_last_k epoch ends are folded into one running sum as they come;
+its elementwise mean is the evaluation model.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-from collections import deque
 from dataclasses import astuple, dataclass, field, fields
 from functools import reduce
 
@@ -22,7 +22,7 @@ from .data import ByteCursor, pack, write_atomic
 from .errors import (ConfigError, ContractError, DimensionError, FormatError,
                      NumericalAbort)
 from .metrics import read_table, write_table
-from .nets import (Model, bind, clone_params, decoder_param_names,
+from .nets import (Model, bind, decoder_param_names,
                    detached_params, model_forward, named_params, param_layout,
                    param_shapes, variant_spec)
 
@@ -97,7 +97,7 @@ def parse_config_value(key: str, text: str):
 
 def reference_config() -> TrainConfig:
     """Full-scale reference settings: width 24, lr 2e-5, 50 epochs, batch 1,
-    alpha 0.002 and last-10 snapshot averaging."""
+    alpha 0.002 and the average of the last 10 epoch ends."""
     return TrainConfig(alpha_max=0.002, lr=2e-5, epochs=50, batch_size=1,
                        channels=24, save_last_k=10)
 
@@ -210,8 +210,9 @@ def zero_grads(named: list[tuple[str, Tensor]]) -> None:
 # snapshot averaging
 
 def average_checkpoints(snapshots: list[Model]) -> Model:
-    """Elementwise mean of parameter snapshots (the last-k epoch average):
-    a running sum of their tensors' .data, bitwise equal to np.mean."""
+    """Elementwise mean of parameter snapshots: a running sum of their
+    tensors' .data in the given order, bitwise equal to np.mean, and to
+    train's average of the same last-k epoch ends."""
     if not snapshots:
         raise ContractError("average_checkpoints needs at least one snapshot")
     shapes = param_shapes(snapshots[0])
@@ -271,8 +272,10 @@ def train(config: TrainConfig, model: Model, labelled_stream,
     present, the labelled stream otherwise; the labelled stream cycles
     independently of epoch boundaries. A non-finite loss or gradient, or
     a gradient whose square overflows, raises NumericalAbort before Adam
-    changes any parameter. Returns (final params, averaged params over
-    the last save_last_k epoch-end snapshots, history rows).
+    changes any parameter. Returns (final params, the mean of the
+    parameters at the last save_last_k epoch ends, history rows). Those
+    epoch ends are summed into one buffer as they come, so averaging holds
+    one copy of the parameters whatever save_last_k is.
 
     With stop_gradient_audit=True each step additionally differentiates
     each consistency summand alone and verifies the detached head's own
@@ -300,7 +303,7 @@ def train(config: TrainConfig, model: Model, labelled_stream,
                        else labelled_stream.epoch_len)
     total_steps = steps_per_epoch * config.epochs
     state = AdamState.for_params(model.flat)
-    snapshots: deque[Model] = deque(maxlen=config.save_last_k)
+    first = max(0, config.epochs - config.save_last_k)
     history: list[HistoryRow] = []
 
     step = 0
@@ -336,9 +339,15 @@ def train(config: TrainConfig, model: Model, labelled_stream,
             history.append(HistoryRow(step, epoch, d[0], d[1], cons_val, a,
                                       total_val))
             step += 1
-        snapshots.append(clone_params(model))
+        # the sum starts from a copy, not zeros (0 + -0.0 is +0.0), and adds
+        # in epoch order: bitwise average_checkpoints of the epochs' clones
+        if epoch == first:
+            summed = model.flat.data.copy()
+        elif epoch > first:
+            summed += model.flat.data
 
-    averaged = average_checkpoints(list(snapshots))
+    averaged = bind(model.decoders, param_shapes(model),
+                    summed / (config.epochs - first), trainable=False)
     return model, averaged, history
 
 

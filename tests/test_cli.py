@@ -12,9 +12,9 @@ import mismatch.nets as nets
 import mismatch.training as training
 from mismatch.autodiff import TAP_PRODUCT_BYTES, Tensor
 from mismatch.cli import main, merge_config, run_training
-from mismatch.data import (BLOB_WORKING_BYTES, CASE_OBJECT_BYTES,
-                           TUBE_ROW_BYTES, TUBE_WORKING_BYTES, Case,
-                           load_caseset)
+from mismatch.data import (BLOB_OBJECT_BYTES, BLOB_WORKING_BYTES,
+                           CASE_OBJECT_BYTES, TUBE_ROW_BYTES,
+                           TUBE_WORKING_BYTES, Case, load_caseset)
 from mismatch.errors import NumericalAbort
 from mismatch.metrics import (RELIABILITY_SLICES_COLUMNS, ReliabilityBins,
                               binarize, ece, iou, read_metrics_csv,
@@ -105,13 +105,13 @@ def test_gen_data_rejects_bad_size(tmp_path, capsys):
 def test_gen_data_refuses_a_data_set_beyond_physical_memory(tmp_path,
                                                             monkeypatch,
                                                             capsys):
-    # 152 KiB of "physical memory": 4 cases of one 32x32 slice keep exactly
+    # 156 KiB of "physical memory": 4 cases of one 32x32 slice keep exactly
     # 73728 bytes of float64 image and mask plus CASE_OBJECT_BYTES each,
-    # next to the 81920 bytes of drawing one 32x32 blob slice (below), and
+    # next to the 86016 bytes of drawing one 32x32 blob slice (below), and
     # a fifth case is refused before any case is drawn; so are 100 cases
     # of one 4x4 slice, whose 25600 bytes of pixels alone would fit
     assert CASE_OBJECT_BYTES == 2048
-    pages = {"SC_PHYS_PAGES": 38, "SC_PAGE_SIZE": 4096}
+    pages = {"SC_PHYS_PAGES": 39, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     argv = ["gen-data", "--kind", "blobs", "--slices", "1"]
     assert main(argv + ["--size", "32", "--cases", "4",
@@ -122,26 +122,27 @@ def test_gen_data_refuses_a_data_set_beyond_physical_memory(tmp_path,
         raise AssertionError("a case was drawn")
 
     monkeypatch.setattr("mismatch.data.gen_synthetic_case", never)
-    for size, cases, nbytes in (("32", "5", 174080), ("4", "100", 231680)):
+    for size, cases, nbytes in (("32", "5", 178176), ("4", "100", 233760)):
         out = tmp_path / f"big{cases}"
         assert main(argv + ["--size", size, "--cases", cases,
                             "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("MM-ERR:")
-        assert err[0].endswith(f": {nbytes} bytes, over the 155648 bytes of "
+        assert err[0].endswith(f": {nbytes} bytes, over the 159744 bytes of "
                                f"physical memory")
         assert not out.exists()
 
 
 def test_gen_data_counts_the_blob_working_set(tmp_path, monkeypatch, capsys):
-    # drawing a blob slice holds about ten float64 (size, size) arrays:
-    # 80*32**2 = 81920 bytes at size 32, on top of the 73728 bytes that 4
-    # cases of one 32x32 slice keep. 38 pages hold both exactly; one page
-    # fewer refuses blobs before any case is drawn
-    assert BLOB_WORKING_BYTES == 80
+    # drawing a blob slice holds ten float64 (size, size) arrays, two masks
+    # and their objects: 82*32**2 + 2048 = 86016 bytes at size 32, on top
+    # of the 73728 bytes that 4 cases of one 32x32 slice keep. 39 pages
+    # hold both exactly; one page fewer refuses blobs before any case is
+    # drawn
+    assert (BLOB_WORKING_BYTES, BLOB_OBJECT_BYTES) == (82, 2048)
     argv = ["gen-data", "--kind", "blobs", "--cases", "4", "--slices", "1",
             "--size", "32"]
-    pages = {"SC_PHYS_PAGES": 38, "SC_PAGE_SIZE": 4096}
+    pages = {"SC_PHYS_PAGES": 39, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     assert main(argv + ["--out", str(tmp_path / "a")]) == 0
     capsys.readouterr()
@@ -150,12 +151,12 @@ def test_gen_data_counts_the_blob_working_set(tmp_path, monkeypatch, capsys):
         raise AssertionError("a case was drawn")
 
     monkeypatch.setattr("mismatch.data.gen_synthetic_case", never)
-    pages["SC_PHYS_PAGES"] = 37
+    pages["SC_PHYS_PAGES"] = 38
     out = tmp_path / "blobs"
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("MM-ERR:")
-    assert err[0].endswith(": 155648 bytes, over the 151552 bytes of "
+    assert err[0].endswith(": 159744 bytes, over the 155648 bytes of "
                            "physical memory")
     assert not out.exists()
 

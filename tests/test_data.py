@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mismatch.data import (TUBE_ROW_BYTES, TUBE_WORKING_BYTES, AugmentConfig,
-                           Case, CaseSet, SliceStream, _tube_slice,
+from mismatch.data import (BLOB_OBJECT_BYTES, BLOB_WORKING_BYTES,
+                           CASE_OBJECT_BYTES, TUBE_ROW_BYTES,
+                           TUBE_WORKING_BYTES, AugmentConfig, Case, CaseSet,
+                           SliceStream, _tube_slice,
                            casewise_normalize, filter_foreground, gen_caseset,
                            gen_synthetic_case, load_caseset, make_streams,
                            read_tensor, save_caseset, split_counts,
@@ -87,6 +89,15 @@ def test_a_512_tube_case_draws_in_a_small_working_set():
     assert peak < 2 * (16 + TUBE_WORKING_BYTES) * 512 ** 2
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("size", [32, 64, 128, 256, 512])
 def test_a_tube_case_peaks_within_its_counted_bytes(size):
     # gen_caseset counts a one-slice tube case as its pixels (16 B each),
@@ -96,13 +107,37 @@ def test_a_tube_case_peaks_within_its_counted_bytes(size):
     gen_synthetic_case(0, "tubes", 1, 4, 0.8)
     for seed in range(5):
         for noise in (0.0, 0.8):
-            tracemalloc.start()
-            try:
-                gen_synthetic_case(seed, "tubes", 1, size, noise)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = _traced_peak(gen_synthetic_case, seed, "tubes", 1, size,
+                                noise)
             assert peak <= counted, (seed, noise)
+
+
+@pytest.mark.parametrize("slices,size", [(1, 4), (1, 16), (1, 64), (1, 256),
+                                         (3, 8), (3, 64)])
+def test_a_blob_case_peaks_within_its_counted_bytes(slices, size):
+    # gen_caseset counts a blob case as its pixels (16 B each) and objects,
+    # and the drawing of one slice as its arrays and their objects
+    counted = (16 * slices * size ** 2 + CASE_OBJECT_BYTES
+               + BLOB_WORKING_BYTES * size ** 2 + BLOB_OBJECT_BYTES)
+    gen_synthetic_case(0, "blobs", 1, 4, 0.8)
+    for seed in range(5):
+        for noise in (0.0, 0.8):
+            peak = _traced_peak(gen_synthetic_case, seed, "blobs", slices,
+                                size, noise)
+            assert peak <= counted, (seed, noise, peak, counted)
+
+
+@pytest.mark.parametrize("kind,n_cases,slices,size", [
+    ("tubes", 1000, 1, 4), ("blobs", 2000, 1, 16), ("tubes", 1000, 2, 16)])
+def test_a_caseset_keeps_its_counted_bytes_per_case(kind, n_cases, slices,
+                                                    size):
+    # beyond its pixels, a generated set peaks within CASE_OBJECT_BYTES per
+    # case (its Case, its arrays' objects and its seed sequence), the
+    # drawing of a slice included
+    gen_caseset(0, kind, 4, 1, 4, 0.8)
+    peak = _traced_peak(gen_caseset, 0, kind, n_cases, slices, size, 0.8)
+    per_case = (peak - n_cases * 16 * slices * size ** 2) / n_cases
+    assert per_case <= CASE_OBJECT_BYTES, per_case
 
 
 def test_noise_beyond_float32_is_refused():
