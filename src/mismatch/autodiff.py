@@ -39,10 +39,13 @@ _TAPES = _TapeStack()
 class Tape:
     """Ordered record of ops; every node's inputs precede the node itself.
 
-    One tape backs one forward/backward cycle. `backward` marks the tape
-    consumed and a second call raises, so gradients can never silently
-    accumulate across training steps. It also empties `nodes`, releasing
-    the recorded graph as soon as its gradients are delivered.
+    A node keeps its output's and its inputs' gradient links (`_Link`),
+    not their values: an op output's array lives only while the forward
+    or a backward closure holds it. One tape backs one forward/backward
+    cycle. `backward` marks the tape consumed and a second call raises, so
+    gradients can never silently accumulate across training steps. It
+    also empties `nodes`, releasing the recorded graph as soon as its
+    gradients are delivered.
     """
 
     def __init__(self):
@@ -65,7 +68,21 @@ def active_tape() -> Tape | None:
     return tapes[-1] if tapes else None
 
 
+class _Link:
+    """What the tape keeps of a recorded op output: the identity gradients
+    flow to during backward, and the tape it was recorded on. It holds no
+    values, so the tape keeps no op output's array alive."""
+    __slots__ = ("tape",)
+    grad = None  # no persistent buffer: not a parameter leaf
+    requires_grad = True
+
+    def __init__(self, tape: Tape):
+        self.tape = tape
+
+
 class _Node:
+    """One recorded op: the output's link, each input's link or, for a
+    leaf, the input Tensor itself, and the backward closure."""
     __slots__ = ("op", "inputs", "output", "backward_fn")
 
     def __init__(self, op, inputs, output, backward_fn):
@@ -79,11 +96,11 @@ class Tensor:
     """Dense float array, optionally carrying a gradient and a tape link.
 
     Leaves built with requires_grad=True (parameters) own a persistent
-    grad buffer, zero-initialised; op outputs keep grad=None and are
-    routed through transient storage during backward.
+    grad buffer, zero-initialised; recorded op outputs keep grad=None and
+    a `_Link`, through which their gradient flows during backward.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "tape")
+    __slots__ = ("data", "grad", "requires_grad", "link")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -92,7 +109,12 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(arr) if requires_grad else None
-        self.tape: Tape | None = None
+        self.link: _Link | None = None
+
+    @property
+    def tape(self) -> Tape | None:
+        """The tape this op output was recorded on, or None."""
+        return None if self.link is None else self.link.tape
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -123,15 +145,19 @@ def record_op(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     """Build the output tensor for an op and record it on the active tape.
 
     backward_fn maps the output gradient to one gradient (or None) per
-    input, in input order. Nothing is recorded in evaluation mode or when
-    no input requires gradients.
+    input, in input order. The node keeps the output's new link and each
+    input's link (the Tensor itself for a leaf), never an op output's
+    values: those live only as long as the caller or a backward closure
+    holds them. Nothing is recorded in evaluation mode or when no input
+    requires gradients.
     """
     out = Tensor(out_data)
     tape = active_tape()
     if _records(tape, inputs):
         out.requires_grad = True
-        out.tape = tape
-        tape.nodes.append(_Node(op, tuple(inputs), out, backward_fn))
+        out.link = _Link(tape)
+        tape.nodes.append(_Node(op, tuple(t.link or t for t in inputs),
+                                out.link, backward_fn))
     return out
 
 
@@ -140,9 +166,10 @@ def backward(loss: Tensor) -> None:
 
     The tape is traversed exactly once, in reverse creation order, which
     is a valid topological order by construction, and each node is
-    dropped once visited; that also breaks the Tape -> node -> output ->
+    dropped once visited; that also breaks the Tape -> node -> link ->
     Tape reference cycle, so the graph is freed without the cycle
-    collector. Unreachable parameters keep their zero gradients.
+    collector. Gradients flow between links, keyed by identity, starting
+    at the loss's. Unreachable parameters keep their zero gradients.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -155,7 +182,7 @@ def backward(loss: Tensor) -> None:
                          "not accumulate, rebuild the graph")
     tape.consumed = True
 
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    flowing: dict[int, np.ndarray] = {id(loss.link): np.ones_like(loss.data)}
     nodes = tape.nodes
     while nodes:
         node = nodes.pop()
@@ -264,8 +291,10 @@ def take_batch(x: Tensor, start: int, stop: int) -> Tensor:
         raise DimensionError(f"take_batch: range {start}:{stop} outside a "
                              f"batch of {n}")
 
+    shape, dtype = x.shape, x.dtype
+
     def bw(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype)
         gx[start:stop] = g
         return (gx,)
 
@@ -550,9 +579,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, padding: int,
     The effective kernel extent is dilation*(K-1)+1; same-size output
     needs padding = dilation*(K-1)/2 for odd K. Internally one GEMM per
     kernel tap over strided views of the flat padded input (`_conv_flat`),
-    with no column buffer, over only each sample's output rows. The tape
-    keeps the input, not its padded copy: the backward lays the padded
-    grid out again for the weight gradient. The input gradient is the same
+    with no column buffer, over only each sample's output rows. The backward
+    keeps the input, not its padded copy: it lays the padded grid out
+    again for the weight gradient. The input gradient is the same
     walk over each sample's input rows of the padded output gradient, with
     the flipped, channel-transposed weights, and the weight gradient
     reduces over the forward's columns; the quadruple-loop definition is
@@ -617,9 +646,9 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, padding: int, dilation: int):
     # start, so each tap is one strided (c, ho*wp) view per sample, and
     # the output comes out NCHW. The columns past wo wrap into the next
     # row; the bias add writes the output without them. The tail keeps the
-    # last tap's view in bounds. The grid copies x, which the tape keeps
-    # anyway, so it goes with the forward and the backward lays it out
-    # again.
+    # last tap's view in bounds. The grid copies x, which the backward
+    # keeps anyway, so it goes with the forward and the backward lays it
+    # out again.
     hp, wp = h + 2 * p, wd + 2 * p
     m, tail = n * hp * wp, (eff - 1) * (wp + 1)
     xd = x.data

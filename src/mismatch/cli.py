@@ -163,7 +163,7 @@ def _case_probs(model, case) -> dict[str, np.ndarray]:
     whole-case forward. No tape is active, so nothing is recorded. A finite
     checkpoint can still overflow on the way: non-finite probabilities are
     a NumericalAbort, never a metric."""
-    image = case.image.astype(np.float32)
+    image = case.image.astype(np.float32, copy=False)
     n, _, h, w = image.shape
     width = model.params["enc0.main1.w"].shape[0]
     step = max(1, 256 * 1024 // (width * h * w * 4))

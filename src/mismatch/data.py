@@ -27,9 +27,13 @@ MASK_SUFFIX = ".mask.mmt"
 
 @dataclass
 class Case:
+    """One case's slices. A drawn case holds a float64 image and a float64
+    0/1 mask; a loaded one holds what its files hold, a float32 image, and
+    its mask as bool. Every reader casts to float32 or tests `!= 0` before
+    any arithmetic, so both give the same values."""
     case_id: str
-    image: np.ndarray   # (S, C, H, W) float
-    mask: np.ndarray    # (S, 1, H, W) float in {0, 1}
+    image: np.ndarray   # (S, C, H, W) float32 or float64
+    mask: np.ndarray    # (S, 1, H, W) bool, or float in {0, 1}
     labelled: bool
 
 
@@ -90,8 +94,10 @@ def _tube_slice(rng, size: int) -> np.ndarray:
 
 
 def _blob_slice(rng, size: int) -> np.ndarray:
-    """1-2 ellipses with low-frequency radial boundary jitter."""
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    """1-2 ellipses with low-frequency radial boundary jitter. Every
+    expression is elementwise, so a row and a column vector of coordinates
+    broadcast to the values full grids would give."""
+    yy, xx = np.ogrid[0.0:size, 0.0:size]
     mask = np.zeros((size, size), dtype=bool)
     for _ in range(int(rng.integers(1, 3))):
         cy, cx = rng.uniform(0.3, 0.7, 2) * size
@@ -162,9 +168,12 @@ def gen_synthetic_case(seed, kind: str, slices: int, size: int,
 
 def casewise_normalize(case: Case) -> Case:
     """Zero-mean/unit-std per channel over the whole case; the std is
-    floored at 1e-8 so constant channels map to zeros."""
-    img = case.image
-    out = np.empty_like(img)
+    floored at 1e-8 so constant channels map to zeros. It computes in
+    float64, upcasting a float32 image whole, and stores the result in the
+    image's dtype: a float32 image gives bitwise the float32 cast of what
+    its float64 copy gives."""
+    img = case.image.astype(np.float64, copy=False)
+    out = np.empty_like(case.image)
     for c in range(img.shape[1]):
         chan = img[:, c]
         std = chan.std()
@@ -438,6 +447,8 @@ def save_caseset(directory, caseset: CaseSet) -> str:
 
 
 def load_caseset(manifest_path) -> CaseSet:
+    """Read a manifest and every case it lists. Each case keeps the float32
+    image its file holds and its 0/1 mask as bool."""
     if not os.path.exists(manifest_path):
         raise ConfigError(f"manifest not found: {manifest_path}")
     base = os.path.dirname(os.path.abspath(manifest_path))
@@ -488,8 +499,8 @@ def load_caseset(manifest_path) -> CaseSet:
                 raise FormatError(f"manifest line {ln}: mask holds values "
                                   f"other than 0 and 1")
             split.setdefault(split_name, []).append(len(cases))
-            cases.append(Case(case_id, image.astype(np.float64),
-                              mask.astype(np.float64), labelled == "1"))
+            cases.append(Case(case_id, image, mask.astype(bool),
+                              labelled == "1"))
     return CaseSet(cases=cases, split=split).validate()
 
 
@@ -529,16 +540,17 @@ TUBE_WORKING_BYTES = 16
 # most 10.9 KB per row at size 4 (300 seeds, noise 0 and 0.8) and 6.5 KB
 # at size 512 (20 seeds, noise 0).
 TUBE_ROW_BYTES = 12288
-# Bytes per size**2 that _blob_slice's arrays hold at their peak: ten
+# Bytes per size**2 that _blob_slice's arrays hold at their peak: eight
 # float64 (size, size) arrays, its bool mask and the last slice's. After a
 # warm-up case, blob cases peaked (tracemalloc) beyond their pixels and
-# CASE_OBJECT_BYTES at 81 B per pixel plus 920-976 B for one slice, and 82
-# plus 1,304-1,360 B for three, at sizes 4-180 (5 seeds, noise 0 and 0.8);
-# from size 184 numpy reuses temporaries in place, and one slice reads 73.
-BLOB_WORKING_BYTES = 82
+# CASE_OBJECT_BYTES at 65 B per pixel, 32 B per row and 2,016 B for one
+# slice, and 66, 32 and 2,400 B for three, at sizes 4-64 (5 seeds, noise 0
+# and 0.8); from size 124 numpy reuses temporaries in place, and one slice
+# reads 57 B per pixel. 68 B per pixel also covers the rows.
+BLOB_WORKING_BYTES = 68
 # Bytes drawing a blob slice holds whatever its size: its draws' and its
-# arrays' objects (the 920-1,360 B above)
-BLOB_OBJECT_BYTES = 2048
+# arrays' objects (the 2,016-2,400 B above)
+BLOB_OBJECT_BYTES = 3072
 
 
 def gen_caseset(seed: int, kind: str, n_cases: int, slices: int, size: int,

@@ -187,17 +187,22 @@ def check_forward(params, shape) -> None:
 
 # Bytes per pixel per base-width channel per sample that one recorded
 # training step (forward, losses and backward) holds at its peak, per
-# decoder kinds. tracemalloc peaks of one step read, at widths 8 and 16,
-# sides 32 and 64 and joint batches 2 and 4: MM and Sup2 366.5-386.0, MM-a
-# 201.7-225.3, MM-b 291.4-309.6, MM-c 271.4-302.1, Sup1 125.9-147.4 and
-# Morph 289.9-305.6, the highest at width 8, side 32, batch 2.
+# decoder kinds. Beside them a step holds, whatever its batch, the tap
+# products of one conv block (TAP_PRODUCT_BYTES) and a conv's weight
+# gradients, within one parameter buffer; at batch 1 on small slices those
+# weigh most. tracemalloc peaks of one step, less TAP_PRODUCT_BYTES, read
+# per unit at widths 8 and 16, sides 32 and 64, joint batches 2 and 4 and
+# the supervised arms' batch 1: MM and Sup2 262.4-271.3, MM-a 160.0-164.1,
+# MM-b 212.3-215.9, MM-c 216.6-220.8, Sup1 86.2-101.9 and Morph
+# 207.6-222.0. At widths 2-24, sides 8-64 and those batches, every arm
+# peaked within 97.1% of its count.
 STEP_BYTES = {
-    ("pasb", "nasb"): 400,
-    ("standard", "standard"): 235,
-    ("standard", "nasb"): 320,
-    ("standard", "pasb"): 310,
-    ("standard",): 155,
-    ("morph_dilate", "morph_erode"): 315,
+    ("pasb", "nasb"): 280,
+    ("standard", "standard"): 170,
+    ("standard", "nasb"): 225,
+    ("standard", "pasb"): 230,
+    ("standard",): 105,
+    ("morph_dilate", "morph_erode"): 230,
 }
 
 
@@ -207,7 +212,8 @@ def check_step(model: Model, shape, batch: int) -> None:
     than physical memory."""
     width = model.params["enc0.main1.w"].shape[0]
     h, w = shape[2], shape[3]
-    check_memory(STEP_BYTES[model.decoders] * width * h * w * batch,
+    check_memory(STEP_BYTES[model.decoders] * width * h * w * batch
+                 + TAP_PRODUCT_BYTES + model.flat.data.nbytes,
                  f"a width-{width} training step of {batch} {h}x{w} slices")
 
 

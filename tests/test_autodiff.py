@@ -2,6 +2,7 @@ import itertools
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -878,6 +879,40 @@ def test_tape_nodes_are_topologically_ordered():
         for t in node.inputs:
             if t.tape is tape and t.grad is None:
                 assert position[id(t)] < i
+
+
+def test_the_tape_keeps_no_op_output_that_no_backward_reads():
+    # the decoder's pattern: an upsample output that only a concat reads,
+    # and a gate product m*a that only an add reads. The tape keeps links,
+    # so both arrays go once the forward drops them, while the conv keeps
+    # its input for the weight gradient; the gradients equal those of a
+    # forward that holds every output to the end
+    rng = np.random.default_rng(31)
+    leaves = x, skip, w, b = (leaf(rng, 1, 2, 4, 4), leaf(rng, 1, 1, 8, 8),
+                              leaf(rng, 2, 3, 3, 3), leaf(rng, 2))
+
+    def forward():
+        with Tape():
+            up = upsample_bilinear2(x)
+            h = concat_channels(up, skip)
+            m = conv2d(h, w, b, 1)
+            gate = mul(m, sigmoid(m))
+            loss = mse(add(m, gate), Tensor(np.zeros((1, 2, 8, 8))))
+        return loss, up, h, gate
+
+    loss, *held = forward()
+    backward(loss)
+    want = [t.grad.copy() for t in leaves]
+    for t in leaves:
+        t.grad[...] = 0
+    loss, up, h, gate = forward()
+    up_ref, h_ref, gate_ref = (weakref.ref(t.data) for t in (up, h, gate))
+    del up, h, gate
+    assert up_ref() is None and gate_ref() is None
+    assert h_ref() is not None  # the conv's backward reads its input
+    backward(loss)
+    for t, g in zip(leaves, want):
+        np.testing.assert_array_equal(t.grad, g)
 
 
 def test_stale_graph_contributes_nothing():

@@ -105,13 +105,13 @@ def test_gen_data_rejects_bad_size(tmp_path, capsys):
 def test_gen_data_refuses_a_data_set_beyond_physical_memory(tmp_path,
                                                             monkeypatch,
                                                             capsys):
-    # 156 KiB of "physical memory": 4 cases of one 32x32 slice keep exactly
+    # 144 KiB of "physical memory": 4 cases of one 32x32 slice keep
     # 73728 bytes of float64 image and mask plus CASE_OBJECT_BYTES each,
-    # next to the 86016 bytes of drawing one 32x32 blob slice (below), and
+    # next to the 72704 bytes of drawing one 32x32 blob slice (below), and
     # a fifth case is refused before any case is drawn; so are 100 cases
     # of one 4x4 slice, whose 25600 bytes of pixels alone would fit
     assert CASE_OBJECT_BYTES == 2048
-    pages = {"SC_PHYS_PAGES": 39, "SC_PAGE_SIZE": 4096}
+    pages = {"SC_PHYS_PAGES": 36, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     argv = ["gen-data", "--kind", "blobs", "--slices", "1"]
     assert main(argv + ["--size", "32", "--cases", "4",
@@ -122,27 +122,26 @@ def test_gen_data_refuses_a_data_set_beyond_physical_memory(tmp_path,
         raise AssertionError("a case was drawn")
 
     monkeypatch.setattr("mismatch.data.gen_synthetic_case", never)
-    for size, cases, nbytes in (("32", "5", 178176), ("4", "100", 233760)):
+    for size, cases, nbytes in (("32", "5", 164864), ("4", "100", 234560)):
         out = tmp_path / f"big{cases}"
         assert main(argv + ["--size", size, "--cases", cases,
                             "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("MM-ERR:")
-        assert err[0].endswith(f": {nbytes} bytes, over the 159744 bytes of "
+        assert err[0].endswith(f": {nbytes} bytes, over the 147456 bytes of "
                                f"physical memory")
         assert not out.exists()
 
 
 def test_gen_data_counts_the_blob_working_set(tmp_path, monkeypatch, capsys):
-    # drawing a blob slice holds ten float64 (size, size) arrays, two masks
-    # and their objects: 82*32**2 + 2048 = 86016 bytes at size 32, on top
-    # of the 73728 bytes that 4 cases of one 32x32 slice keep. 39 pages
-    # hold both exactly; one page fewer refuses blobs before any case is
-    # drawn
-    assert (BLOB_WORKING_BYTES, BLOB_OBJECT_BYTES) == (82, 2048)
+    # drawing a blob slice holds eight float64 (size, size) arrays, two
+    # masks and their objects: 68*32**2 + 3072 = 72704 bytes at size 32, on
+    # top of the 73728 bytes that 4 cases of one 32x32 slice keep. 36 pages
+    # hold both; one page fewer refuses blobs before any case is drawn
+    assert (BLOB_WORKING_BYTES, BLOB_OBJECT_BYTES) == (68, 3072)
     argv = ["gen-data", "--kind", "blobs", "--cases", "4", "--slices", "1",
             "--size", "32"]
-    pages = {"SC_PHYS_PAGES": 39, "SC_PAGE_SIZE": 4096}
+    pages = {"SC_PHYS_PAGES": 36, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     assert main(argv + ["--out", str(tmp_path / "a")]) == 0
     capsys.readouterr()
@@ -151,12 +150,12 @@ def test_gen_data_counts_the_blob_working_set(tmp_path, monkeypatch, capsys):
         raise AssertionError("a case was drawn")
 
     monkeypatch.setattr("mismatch.data.gen_synthetic_case", never)
-    pages["SC_PHYS_PAGES"] = 38
+    pages["SC_PHYS_PAGES"] = 35
     out = tmp_path / "blobs"
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("MM-ERR:")
-    assert err[0].endswith(": 159744 bytes, over the 155648 bytes of "
+    assert err[0].endswith(": 146432 bytes, over the 143360 bytes of "
                            "physical memory")
     assert not out.exists()
 
@@ -637,20 +636,36 @@ def test_bins_peak_within_their_counted_bytes(trained_mm, dataset,
 
 def test_forward_beyond_physical_memory_is_refused_before_out(
         trained_mm, dataset, tmp_path, monkeypatch, capsys):
-    # the width-2 forward of one 8x8 slice counts FORWARD_BYTES per pixel
-    # and channel plus the tap products of one conv block. With exactly
-    # that much physical memory, eval, calibrate and a one-arm sweep run;
-    # with one byte less, each is refused before --out is made, the sweep
-    # before its arm trains
-    nbytes = nets.FORWARD_BYTES * 2 * 8 * 8 + TAP_PRODUCT_BYTES
-    assert nbytes == 530432
+    # the width-2 forward of one 32x32 slice counts FORWARD_BYTES per pixel
+    # and channel plus the tap products of one conv block. The data set
+    # trains on dataset's 8x8 slices and scores a 32x32 test case, whose
+    # forward counts more than a width-2 MM step on 8x8 slices. With
+    # exactly that much physical memory, eval, calibrate and a one-arm
+    # sweep run; with one byte less, each is refused before --out is made,
+    # the sweep before its arm trains
+    wide = tmp_path / "wide"
+    assert main(["gen-data", "--kind", "tubes", "--cases", "4", "--slices",
+                 "1", "--size", "32", "--out", str(wide)]) == 0
+    capsys.readouterr()
+
+    def entries(manifest, test):
+        with open(manifest) as f:
+            return [f"{os.path.join(os.path.dirname(manifest), path)} {lab} "
+                    f"{split}\n" for path, lab, split in map(str.split, f)
+                    if (split == "test") == test]
+
+    data = tmp_path / "manifest.txt"
+    data.write_text("".join(entries(dataset, False)
+                            + entries(str(wide / "manifest.txt"), True)))
+    nbytes = nets.FORWARD_BYTES * 2 * 32 * 32 + TAP_PRODUCT_BYTES
+    assert nbytes == 622592
     memory = {"SC_PHYS_PAGES": nbytes, "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     ckpt = os.path.join(trained_mm, "averaged.ckpt")
     commands = {
-        "eval": ["eval", "--checkpoint", ckpt, "--data", dataset],
-        "calibrate": ["calibrate", "--checkpoint", ckpt, "--data", dataset],
-        "sweep-alpha": ["sweep-alpha", "--data", dataset, "--values", "0",
+        "eval": ["eval", "--checkpoint", ckpt, "--data", str(data)],
+        "calibrate": ["calibrate", "--checkpoint", ckpt, "--data", str(data)],
+        "sweep-alpha": ["sweep-alpha", "--data", str(data), "--values", "0",
                         "--seeds", "0"] + FAST,
     }
     for command, argv in commands.items():
@@ -667,36 +682,38 @@ def test_forward_beyond_physical_memory_is_refused_before_out(
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("MM-ERR:")
-        assert err[0].endswith(f"a width-2 forward of one 8x8 slice: {nbytes} "
-                               f"bytes, over the {nbytes - 1} bytes of "
-                               f"physical memory")
+        assert err[0].endswith(f"a width-2 forward of one 32x32 slice: "
+                               f"{nbytes} bytes, over the {nbytes - 1} bytes "
+                               f"of physical memory")
         assert not out.exists()
 
 
 def test_step_beyond_physical_memory_is_refused_before_out(
         dataset, tmp_path, monkeypatch, capsys):
     # a width-8 MM step on 8x8 slices at batch 2, joined by an unlabelled
-    # batch of 2, counts STEP_BYTES per pixel, channel and sample: more
-    # than its parameters or the test case's one-slice forward. With
+    # batch of 2, counts STEP_BYTES per pixel, channel and sample, one
+    # block's tap products and the 232872 bytes of its parameters: more
+    # than the parameters alone or the test case's one-slice forward. With
     # exactly that much physical memory, train and a one-arm sweep run, and
-    # Sup2, the same layout with no unlabelled batch, runs on half of it;
-    # with one byte less, each is refused before --out is made, the sweep
-    # before its arm trains
-    nbytes = nets.STEP_BYTES[("pasb", "nasb")] * 8 * 8 * 8 * 4
-    assert nbytes == 819200
-    memory = {"SC_PHYS_PAGES": nbytes, "SC_PAGE_SIZE": 1}
+    # so does Sup2, the same layout with no unlabelled batch, on its count
+    # of 2 samples; with one byte less, each is refused before --out is
+    # made, the sweep before its arm trains
+    def counted(batch):
+        return (nets.STEP_BYTES[("pasb", "nasb")] * 8 * 8 * 8 * batch
+                + nets.TAP_PRODUCT_BYTES + 232872)
+
+    assert (counted(4), counted(2)) == (1330600, 1043880)
+    memory = {"SC_PHYS_PAGES": counted(4), "SC_PAGE_SIZE": 1}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
     step = FAST + ["--set", "model.channels=8", "--set", "train.batch_size=2"]
     commands = {
-        "train": (["train", "--variant", "MM", "--data", dataset] + step,
-                  nbytes),
+        "train": (["train", "--variant", "MM", "--data", dataset] + step, 4),
         "sweep-alpha": (["sweep-alpha", "--data", dataset, "--values", "0",
-                         "--seeds", "0"] + step, nbytes),
-        "sup2": (["train", "--variant", "Sup2", "--data", dataset] + step,
-                 nbytes // 2),
+                         "--seeds", "0"] + step, 4),
+        "sup2": (["train", "--variant", "Sup2", "--data", dataset] + step, 2),
     }
-    for command, (argv, fits) in commands.items():
-        memory["SC_PHYS_PAGES"] = fits
+    for command, (argv, batch) in commands.items():
+        memory["SC_PHYS_PAGES"] = counted(batch)
         assert main(argv + ["--out", str(tmp_path / command)]) == 0
     capsys.readouterr()
 
@@ -704,14 +721,15 @@ def test_step_beyond_physical_memory_is_refused_before_out(
         raise AssertionError("an arm trained")
 
     monkeypatch.setattr(cli, "train", never)
-    for command, (argv, fits) in commands.items():
+    for command, (argv, batch) in commands.items():
+        fits = counted(batch)
         memory["SC_PHYS_PAGES"] = fits - 1
         out = tmp_path / f"{command}_refused"
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("MM-ERR:")
-        assert err[0].endswith(f"a width-8 training step of {fits // 204800}"
-                               f" 8x8 slices: {fits} bytes, over the "
+        assert err[0].endswith(f"a width-8 training step of {batch} 8x8 "
+                               f"slices: {fits} bytes, over the "
                                f"{fits - 1} bytes of physical memory")
         assert not out.exists()
 

@@ -356,8 +356,30 @@ def test_caseset_roundtrip(tmp_path):
     for a, b in zip(caseset.cases, back.cases):
         assert a.case_id == b.case_id
         assert a.labelled == b.labelled
-        np.testing.assert_allclose(a.image, b.image, atol=1e-7)  # f32 on disk
-        np.testing.assert_array_equal(a.mask, b.mask)
+        # a loaded case keeps what its files hold: float32 images, and its
+        # 0/1 masks as bool
+        assert (b.image.dtype, b.mask.dtype) == (np.float32, bool)
+        np.testing.assert_array_equal(b.image, a.image.astype(np.float32))
+        np.testing.assert_array_equal(b.mask, a.mask != 0)
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_casewise_normalize_of_a_loaded_case_casts_its_float64_result(
+        tmp_path, channels):
+    # a loaded float32 case normalises to bitwise the float32 cast of what
+    # its float64 copy normalises to, the values every reader forwards
+    rng = np.random.default_rng(channels)
+    image = rng.standard_normal((3, channels, 8, 8)) * 3.0 + 1.0
+    mask = (rng.random((3, 1, 8, 8)) < 0.3).astype(np.float64)
+    manifest = save_caseset(tmp_path / "data", CaseSet(
+        [Case("c", image, mask, True)], {"test": [0]}))
+    (case,) = load_caseset(manifest).cases
+    got = casewise_normalize(case).image
+    want = casewise_normalize(Case("c", case.image.astype(np.float64),
+                                   case.mask, True)).image
+    assert got.dtype == np.float32
+    np.testing.assert_array_equal(got.view(np.uint32),
+                                  want.astype(np.float32).view(np.uint32))
 
 
 def test_manifest_errors(tmp_path):

@@ -546,17 +546,20 @@ def test_train_keeps_its_heap_between_steps():
 def test_training_step_peaks_within_its_counted_bytes():
     # the tracemalloc peak of one recorded step (the forward, Dice per head,
     # any consistency term and the backward) after a warm-up step, for
-    # every decoder layout: within nets.STEP_BYTES per pixel, base-width
-    # channel and sample of the joint batch, and at the last shape at
-    # least 3/4 of it, so a count that memory use fell well below shows too
-    layouts = {spec.decoders: name
-               for name, spec in reversed(list(nets.VARIANTS.items()))}
-    assert set(layouts) == set(nets.STEP_BYTES)
+    # every arm: within nets.STEP_BYTES per pixel, base-width channel and
+    # sample of the joint batch, plus one block's tap products and one
+    # parameter buffer, and at the last shape at least 3/4 of it, so a
+    # count that memory use fell well below shows too. The supervised arms
+    # also step at their default batch of 1, where the fixed part weighs
+    # most.
+    assert ({spec.decoders for spec in nets.VARIANTS.values()}
+            == set(nets.STEP_BYTES))
     rng = np.random.default_rng(62)
     cfg = TrainConfig()
-    for kinds, name in layouts.items():
-        semi = nets.VARIANTS[name].semi_supervised
-        for width, side, n in ((8, 32, 2), (16, 32, 4), (8, 64, 2)):
+    for name, spec in nets.VARIANTS.items():
+        semi = spec.semi_supervised
+        shapes = ((8, 32, 2), (16, 32, 4), (8, 64, 2))
+        for width, side, n in shapes if semi else ((8, 32, 1),) + shapes:
             model = init_params(name, width, seed=0)
             x = rng.standard_normal((n, 1, side, side)).astype(np.float32)
             nb = n // 2 if semi else n
@@ -574,7 +577,8 @@ def test_training_step_peaks_within_its_counted_bytes():
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            counted = nets.STEP_BYTES[kinds] * width * side * side * n
+            counted = (nets.STEP_BYTES[spec.decoders] * width * side * side
+                       * n + nets.TAP_PRODUCT_BYTES + model.flat.data.nbytes)
             assert peak <= counted, (name, width, side, n, peak, counted)
         assert peak >= 0.75 * counted, (name, peak, counted)
 
