@@ -11,6 +11,7 @@ checks run in float64, training in float32; dtype follows the operands.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "add", "mul", "scale", "mse", "relu", "sigmoid", "stop_gradient",
     "concat_channels", "take_batch", "window_extreme", "maxpool2", "conv2d",
     "upsample_bilinear2", "instance_norm", "conv_relu_norm", "same_padding",
+    "small_ufunc_buffer",
 ]
 
 
@@ -170,33 +172,41 @@ def backward(loss: Tensor) -> None:
     Tape reference cycle, so the graph is freed without the cycle
     collector. Gradients flow between links, keyed by identity, starting
     at the loss's. Unreachable parameters keep their zero gradients.
-    """
-    if loss.data.size != 1:
-        raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
-    tape = loss.tape
-    if tape is None:
-        raise GraphError("loss is not connected to a tape; run the forward pass "
-                         "inside a Tape context")
-    if tape.consumed:
-        raise GraphError("tape already consumed by a backward pass; gradients do "
-                         "not accumulate, rebuild the graph")
-    tape.consumed = True
 
-    flowing: dict[int, np.ndarray] = {id(loss.link): np.ones_like(loss.data)}
-    nodes = tape.nodes
-    while nodes:
-        node = nodes.pop()
-        g = flowing.pop(id(node.output), None)
-        if g is None:
-            continue
-        for t, gi in zip(node.inputs, node.backward_fn(g)):
-            if gi is None or not t.requires_grad:
+    It runs under `small_ufunc_buffer`, so numpy does not buffer the
+    stage backward's per-(sample, channel) broadcasts over maps of 1024
+    elements or more; with the forward scoped too, the benchmark's
+    train-mm step took 4.8% less (numpy 2.4.6).
+    """
+    with small_ufunc_buffer():
+        if loss.data.size != 1:
+            raise GraphError(f"backward needs a scalar loss, got shape "
+                             f"{loss.shape}")
+        tape = loss.tape
+        if tape is None:
+            raise GraphError("loss is not connected to a tape; run the "
+                             "forward pass inside a Tape context")
+        if tape.consumed:
+            raise GraphError("tape already consumed by a backward pass; "
+                             "gradients do not accumulate, rebuild the graph")
+        tape.consumed = True
+
+        flowing: dict[int, np.ndarray] = {
+            id(loss.link): np.ones_like(loss.data)}
+        nodes = tape.nodes
+        while nodes:
+            node = nodes.pop()
+            g = flowing.pop(id(node.output), None)
+            if g is None:
                 continue
-            if t.grad is not None:          # parameter leaf
-                t.grad += gi
-            elif t.tape is tape:            # intermediate on this tape
-                prev = flowing.get(id(t))
-                flowing[id(t)] = gi if prev is None else prev + gi
+            for t, gi in zip(node.inputs, node.backward_fn(g)):
+                if gi is None or not t.requires_grad:
+                    continue
+                if t.grad is not None:          # parameter leaf
+                    t.grad += gi
+                elif t.tape is tape:            # intermediate on this tape
+                    prev = flowing.get(id(t))
+                    flowing[id(t)] = gi if prev is None else prev + gi
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +457,13 @@ def _norm(y: np.ndarray, gamma: Tensor, beta: Tensor):
 
     def bw(g):
         g = g.reshape(n, c, size)
-        gsum = g.sum(axis=-1)
+        gsum = np.add.reduce(g, axis=-1)
         gxsum = np.einsum("ncl,ncl->nc", g, xhat)
         gx = g - (gsum / size)[:, :, None]
         gx -= xhat * (gxsum / size)[:, :, None]
         gx *= inv * gamma.data[:, None]
-        return (gx.reshape(n, c, h, w), gxsum.sum(axis=0), gsum.sum(axis=0))
+        return (gx.reshape(n, c, h, w), np.add.reduce(gxsum, axis=0),
+                np.add.reduce(gsum, axis=0))
 
     return out.reshape(n, c, h, w), bw
 
@@ -474,6 +485,38 @@ _BLOCK_BYTES = 1 << 18
 # (medians of 40 interleaved runs on that host; an 8 -> 8 conv's products
 # are 1.2 MB there), while the 32x32 training convs make at most 0.4 MB.
 TAP_PRODUCT_BYTES = 1 << 19
+# numpy's ufunc buffer, in elements, inside `small_ufunc_buffer`. numpy
+# buffers an operand broadcast per (sample, channel), such as the conv
+# bias or the norm's mean, inverse std, gamma and beta and their backward,
+# whenever one h*w map is shorter than the buffer while the whole array
+# is longer, and the buffered loop runs 2-3x slower (numpy 2.4.6, x86-64,
+# one CPU): on a (2, 8, 64*64) float32 map `y -= mean` took 26.5 us at
+# the default 8192 elements and 12.2 at 1024, the cropped bias add 52.9
+# and 25.7. 1024 is one 32x32 training map. In 20 interleaved blocks a
+# width-8 MM forward of two 64x64 slices ran 11.4% faster at 1024, 12.9%
+# at 2048, 11.6% at 256 and 5.1% at 64; an MM step on 32x32 slices read
+# -1.1% at 1024, +5.0% at 2048 and +6.1% at 64, where casts split into
+# tiny pieces.
+_UFUNC_BUFFER = 1024
+
+
+@contextmanager
+def small_ufunc_buffer():
+    """Run the body with numpy's ufunc buffer at _UFUNC_BUFFER elements and
+    set the caller's size back on every exit, a raise included.
+
+    Elementwise IEEE ops give the same bits however numpy chunks their
+    loop, and the contiguous reductions (np.add.reduce, einsum) are not
+    buffered, so every value and gradient is bitwise what the default
+    buffer gives. The size is set back explicitly: numpy 2 scopes it to
+    the current context (so to one thread), but numpy 1.x's errstate does
+    not restore it. Only `nets.model_forward` and `backward` run under it.
+    """
+    previous = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        yield
+    finally:
+        np.setbufsize(previous)
 
 
 def _flat_grid(a: np.ndarray, hp: int, wp: int, at: int,
@@ -663,7 +706,7 @@ def _conv(x: Tensor, w: Tensor, b: Tensor, padding: int, dilation: int):
     needs_gx = x.requires_grad
 
     def bw(g):
-        gb = g.sum(axis=(0, 2, 3))
+        gb = np.add.reduce(g, axis=(0, 2, 3))
         # g written at row and column eff-1 of the forward's grid lands
         # `tail` flat places after output (i, j), so each sample's first
         # ho*wp columns of gp[:, tail:tail + m] are g on the forward's

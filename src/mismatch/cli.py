@@ -89,8 +89,12 @@ def echo_lines(cfg: dict[str, str]) -> tuple[str, ...]:
 # shared run logic
 
 def _load_normalized(manifest) -> CaseSet:
+    """The manifest's cases, each normalised in place of its raw image, so
+    a raw image goes as soon as its case is normalised."""
     caseset = load_caseset(manifest)
-    caseset.cases = [casewise_normalize(c) for c in caseset.cases]
+    cases = caseset.cases
+    for i in range(len(cases)):
+        cases[i] = casewise_normalize(cases[i])
     return caseset
 
 

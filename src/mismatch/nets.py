@@ -18,7 +18,8 @@ import numpy as np
 
 from .autodiff import (TAP_PRODUCT_BYTES, Tensor, add, concat_channels,
                        conv2d, conv_relu_norm, maxpool2, mul, same_padding,
-                       scale, sigmoid, upsample_bilinear2, window_extreme)
+                       scale, sigmoid, small_ufunc_buffer, upsample_bilinear2,
+                       window_extreme)
 from .data import check_memory
 from .errors import ConfigError, ContractError, DimensionError, ParameterError
 
@@ -259,10 +260,20 @@ def decoder_forward(bottleneck: Tensor, skips: list[Tensor], params,
 
 
 def model_forward(model: Model, image: Tensor) -> list[Tensor]:
-    """Run the shared encoder once and every decoder on its outputs."""
-    bottleneck, skips = encoder_forward(image, model.params)
-    return [decoder_forward(bottleneck, skips, model.params, f"dec{j}", kind)
-            for j, kind in enumerate(model.decoders)]
+    """Run the shared encoder once and every decoder on its outputs.
+
+    It runs under `small_ufunc_buffer`, so numpy does not buffer the
+    stages' per-(sample, channel) broadcasts (the conv bias, the norm's
+    statistics and affine) over maps of 1024 elements or more: the
+    cropped bias add of a (2, 8, 64x64) float32 map took 52.9 us at
+    numpy's default buffer and 25.7 with it (numpy 2.4.6), and the
+    benchmark's eval scored 14% more 64x64 slices per second.
+    """
+    with small_ufunc_buffer():
+        bottleneck, skips = encoder_forward(image, model.params)
+        return [decoder_forward(bottleneck, skips, model.params, f"dec{j}",
+                                kind)
+                for j, kind in enumerate(model.decoders)]
 
 
 def average_prediction(probs: list[Tensor]) -> Tensor:

@@ -326,6 +326,55 @@ def test_conv_relu_norm_equals_the_three_ops_bitwise(dtype):
                 assert (got[1] is None) == (c == 1)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stage_is_bitwise_the_same_at_numpy_default_buffer(monkeypatch,
+                                                            dtype):
+    # the stage's forward and backward, with their per-(sample, channel)
+    # broadcasts, give the same bits under the 1024-element ufunc buffer
+    # and under numpy's default 8192, for maps of h*w below, equal to and
+    # above 1024 and a batch whose whole map is below it
+    assert autodiff._UFUNC_BUFFER == 1024
+    rng = np.random.default_rng(44)
+    for n, side in ((1, 8), (3, 16), (2, 32), (2, 64)):
+        arrays = [rng.standard_normal((n, 3, side, side)),
+                  rng.standard_normal((4, 3, 3, 3)) / 3.0,
+                  rng.standard_normal(4) * 0.1,
+                  rng.standard_normal(4) + 1.0, rng.standard_normal(4)]
+        arrays = [a.astype(dtype) for a in arrays]
+        g = rng.standard_normal((n, 4, side, side)).astype(dtype)
+        runs = []
+        for size in (1024, 8192):
+            monkeypatch.setattr(autodiff, "_UFUNC_BUFFER", size)
+            x, w, b, gamma, beta = (Tensor(a.copy(), requires_grad=True)
+                                    for a in arrays)
+            with autodiff.small_ufunc_buffer(), Tape():
+                out = conv_relu_norm(x, w, b, gamma, beta, 1)
+                loss = mse(out, Tensor(g))
+            backward(loss)
+            runs.append([out.data, *(t.grad for t in (x, w, b, gamma, beta))])
+        for a, b in zip(*runs):
+            assert _same_bits(a, b), (n, side)
+
+
+def test_backward_sets_the_buffer_back():
+    # on return and on a raise, to the caller's size, not to numpy's
+    # default: a consumed tape's GraphError is raised inside the scope
+    x = Tensor(np.array([1.0]), requires_grad=True)
+    default = np.getbufsize()
+    with Tape():
+        loss = mse(x, Tensor(np.zeros(1)))
+    backward(loss)
+    assert np.getbufsize() == default
+    previous = np.setbufsize(4096)
+    try:
+        with pytest.raises(GraphError):
+            backward(loss)
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(previous)
+    assert np.getbufsize() == default
+
+
 def test_conv2d_input_grad_matches_col2im_oracle():
     rng = np.random.default_rng(31)
     for n, c, o, side, k, p, d in RECORDED_CONVS:

@@ -14,7 +14,8 @@ from mismatch.autodiff import TAP_PRODUCT_BYTES, Tensor
 from mismatch.cli import main, merge_config, run_training
 from mismatch.data import (BLOB_OBJECT_BYTES, BLOB_WORKING_BYTES,
                            CASE_OBJECT_BYTES, TUBE_ROW_BYTES,
-                           TUBE_WORKING_BYTES, Case, load_caseset)
+                           TUBE_WORKING_BYTES, Case, gen_caseset,
+                           load_caseset, save_caseset)
 from mismatch.errors import NumericalAbort
 from mismatch.metrics import (RELIABILITY_SLICES_COLUMNS, ReliabilityBins,
                               binarize, ece, iou, read_metrics_csv,
@@ -578,6 +579,29 @@ def test_score_holds_one_case_at_a_time():
     peak(1)  # one-time allocations
     diagrams = 7 * shape[0] * len(heads)
     assert peak(8) - peak(1) <= diagrams * (3 * 8 * 10 + 1024)
+
+
+def test_load_normalized_holds_one_raw_case_at_a_time(tmp_path):
+    # each case is normalised in place of its raw image, so the peak is
+    # the kept float32 images and bool masks plus one case's working set:
+    # its raw float32 image and three float64 arrays of its size (the
+    # upcast copy, the centred channel and the quotient; numpy elides the
+    # last below 256 KiB only), 28 B per pixel, and 16 KiB of objects.
+    # tracemalloc read 28.25-28.55 B per case pixel beyond the kept bytes;
+    # a list rebuilt whole kept every raw image too, 48-57 B.
+    cases, slices, size = 8, 4, 48
+    manifest = save_caseset(tmp_path, gen_caseset(0, "tubes", cases, slices,
+                                                  size, 0.8))
+    cli._load_normalized(manifest)  # one-time allocations
+    tracemalloc.start()
+    try:
+        caseset = cli._load_normalized(manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(c.image.nbytes + c.mask.nbytes for c in caseset.cases)
+    assert kept == cases * slices * size * size * (4 + 1)
+    assert peak <= kept + 28 * slices * size * size + 16 * 1024
 
 
 def test_bins_beyond_physical_memory_are_refused_before_out(

@@ -1,11 +1,14 @@
 import hashlib
 import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import mismatch.autodiff as autodiff
 import mismatch.nets as nets
+import mismatch.training as training
 from mismatch.autodiff import (TAP_PRODUCT_BYTES, Tape, Tensor, add, backward,
                                mse, scale, sigmoid, take_batch)
 from mismatch.errors import (ConfigError, ContractError, DimensionError,
@@ -16,8 +19,9 @@ from mismatch.nets import (PASB_SIDE_DILATION, VARIANTS, _draw, _stage,
                            encoder_forward, init_params, model_forward,
                            morph_perturb, named_params, nasb, param_layout,
                            pasb, standard_block)
-from mismatch.training import (average_checkpoints, consistency_loss,
-                               dice_loss, load_model, save_checkpoint)
+from mismatch.training import (TrainConfig, average_checkpoints,
+                               consistency_loss, dice_loss, load_model,
+                               save_checkpoint)
 from gradcheck import check_grads
 from oracles import naive_morph
 
@@ -301,6 +305,88 @@ def test_value_only_float32_forward_is_bitwise_the_recorded_one(variant):
         for vo, rec in zip(value_only, recorded):
             assert vo.data.dtype == np.float32
             np.testing.assert_array_equal(vo.data, rec.data)
+
+
+def _heads_and_step_grads(variant, dtype, n, side):
+    """The value-only heads of n slices and the gradient of one recorded
+    training step (n labelled slices, and n unlabelled ones for a
+    semi-supervised arm), as bytes."""
+    rng = np.random.default_rng(56)
+    model = init_params(variant, channels=4, seed=7, dtype=dtype)
+    x = rng.standard_normal((2 * n, 1, side, side)).astype(dtype)
+    y = (rng.random((n, 1, side, side)) < 0.3).astype(dtype)
+    xu = x[n:] if VARIANTS[variant].semi_supervised else None
+    heads = [p.data.tobytes() for p in model_forward(model, Tensor(x[:n]))]
+    backward(training._step_loss(TrainConfig(), model, x[:n], y, xu, 0.05)[2])
+    return heads, model.flat.grad.tobytes()
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_every_arm_is_bitwise_the_same_at_numpy_default_buffer(
+        monkeypatch, variant):
+    # model_forward and backward run under a 1024-element ufunc buffer;
+    # numpy's default is 8192. Elementwise ops give the same bits however
+    # numpy chunks them, and the reductions are not buffered, so heads and
+    # step gradients match at both: for maps of h*w below, equal to and
+    # above the buffer, and a batch whose whole arrays are below it
+    assert autodiff._UFUNC_BUFFER == 1024
+    for dtype in (np.float32, np.float64):
+        for n, side in ((1, 8), (2, 16), (1, 32), (1, 64)):
+            small = _heads_and_step_grads(variant, dtype, n, side)
+            monkeypatch.setattr(autodiff, "_UFUNC_BUFFER", 8192)
+            default = _heads_and_step_grads(variant, dtype, n, side)
+            monkeypatch.undo()
+            assert small == default, (dtype, n, side)
+
+
+def test_model_forward_sets_the_buffer_back():
+    # on return and on a raise, to the caller's size, not to numpy's
+    # default: check_input's DimensionError is raised inside the scope
+    model = init_params("MM", channels=2, seed=0)
+    default = np.getbufsize()
+    model_forward(model, Tensor(np.zeros((1, 1, 8, 8), np.float32)))
+    assert np.getbufsize() == default
+    previous = np.setbufsize(4096)
+    try:
+        with pytest.raises(DimensionError):
+            model_forward(model, Tensor(np.zeros((1, 1, 6, 6), np.float32)))
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(previous)
+    assert np.getbufsize() == default
+
+
+def test_a_forward_held_in_one_thread_leaves_another_threads_buffer(
+        monkeypatch):
+    # numpy keeps the buffer size per thread: a forward held inside its
+    # scope (at the barrier) does not change the main thread's size
+    barrier = threading.Barrier(2, timeout=60)
+    inside, errors = [], []
+    encoder = nets.encoder_forward
+
+    def held(image, params):
+        inside.append(np.getbufsize())
+        barrier.wait()  # the thread is inside model_forward
+        barrier.wait()  # the main thread has read its own size
+        return encoder(image, params)
+
+    def work():
+        try:
+            model_forward(init_params("MM", channels=2, seed=0),
+                          Tensor(np.zeros((1, 1, 8, 8), np.float32)))
+        except Exception as e:  # collected for the main thread's assert
+            errors.append(repr(e))
+
+    monkeypatch.setattr(nets, "encoder_forward", held)
+    default = np.getbufsize()
+    thread = threading.Thread(target=work)
+    thread.start()
+    barrier.wait()
+    outside = np.getbufsize()
+    barrier.wait()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and errors == []
+    assert inside == [autodiff._UFUNC_BUFFER] and outside == default
 
 
 def test_average_prediction_averages_heads():
