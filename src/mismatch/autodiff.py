@@ -255,17 +255,23 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # Split form: exp only ever sees -|x|, so large |x| cannot overflow,
-    # and for x < 0 the value e/(1+e) stays a small positive number instead
-    # of rounding 1 - 1/(1+e) to zero. e = exp(-|x|) is exp(x) for x < 0
-    # and at most 1 otherwise, so max(e, x >= 0) is e or exactly 1 and the
-    # product selects e*r or r, r = 1/(1+e), with one exp and no masked
-    # select. Done in place, it holds at most three arrays of x's size.
+    """Logistic function in split form, with one exp and no masked select.
+
+    exp only ever sees -|x|, so large |x| cannot overflow, and for x < 0
+    the value e/(1+e) stays a small positive number instead of rounding
+    1 - 1/(1+e) to zero. e = exp(-|x|) is exp(x) for x < 0 and at most 1
+    otherwise, so max(e, x >= 0) is e or exactly 1 and the product selects
+    e*r or r, r = 1/(1+e). e becomes r in place, so beside x it holds two
+    arrays of x's size and, for one op, the bool mask x >= 0.
+    """
     xd = x.data
-    e = np.exp(-np.abs(xd))
+    e = np.abs(xd)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     out = np.maximum(e, xd >= 0)
     e += 1.0
-    out *= 1.0 / e
+    np.divide(1.0, e, out=e)
+    out *= e
 
     def bw(g):
         return (g * out * (1.0 - out),)
@@ -380,7 +386,7 @@ def upsample_bilinear2(x: Tensor) -> Tensor:
     out = _upsample_axis(_upsample_axis(x.data, -2), -1)
 
     def bw(g):
-        return (_upsample_adjoint(_upsample_adjoint(g, 3), 2),)
+        return (_upsample_adjoint(_upsample_adjoint(g, -1), -2),)
 
     return record_op("upsample_bilinear2", (x,), out, bw)
 
@@ -390,36 +396,90 @@ def _upsample_axis(x: np.ndarray, axis: int) -> np.ndarray:
 
     Output 2i is 0.25*x[i-1] + 0.75*x[i] and output 2i+1 is
     0.75*x[i] + 0.25*x[i+1], with out-of-range neighbours clamped to the
-    edge: each parity is one strided store.
+    edge. q = 0.25*x and t = 0.75*x are made once, and each parity is one
+    np.add of shifted q and t into a strided slice of the output, so every
+    output keeps that expression tree and its bits.
+
+    Along W a row is 16-64 elements, one numpy loop each; there the adds
+    run over the flat arrays, each loop spanning the whole array. Each
+    row's first even and last odd output then read a neighbour across the
+    row boundary, and the clamped-edge adds that follow rebuild those two
+    columns from their own row. Along H the adds index the axis directly.
+    Beside x it holds q, t and the output, 4x x's bytes, so the two passes
+    of upsample_bilinear2 peak at 10x its input's bytes beyond the input.
     """
     def at(s):
         return (Ellipsis, s) + (slice(None),) * (-1 - axis)
 
-    prev = np.concatenate([x[at(slice(None, 1))], x[at(slice(None, -1))]], axis)
-    nxt = np.concatenate([x[at(slice(1, None))], x[at(slice(-1, None))]], axis)
+    q = 0.25 * x
+    t = 0.75 * x
     shape = list(x.shape)
     shape[axis] *= 2
     out = np.empty(shape, dtype=x.dtype)
-    out[at(slice(0, None, 2))] = 0.25 * prev + 0.75 * x
-    out[at(slice(1, None, 2))] = 0.75 * x + 0.25 * nxt
+    # along W, q, t and out are fresh C-contiguous arrays: flat views
+    fq, ft, fout = ((q.reshape(-1), t.reshape(-1), out.reshape(-1))
+                    if axis == -1 else (q, t, out))
+    np.add(fq[at(slice(None, -1))], ft[at(slice(1, None))],
+           out=fout[at(slice(2, None, 2))])
+    np.add(ft[at(slice(None, -1))], fq[at(slice(1, None))],
+           out=fout[at(slice(1, -2, 2))])
+    first, last = at(slice(None, 1)), at(slice(-1, None))
+    np.add(q[first], t[first], out=out[first])
+    np.add(t[last], q[last], out=out[last])
     return out
 
 
 def _upsample_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
-    """Adjoint of x2 linear upsampling along one axis (length 2m -> m).
+    """Adjoint of x2 linear upsampling along axis -2 or -1 (2m -> m).
 
     Output 2i mixes 0.25*x[i-1] + 0.75*x[i] and output 2i+1 mixes
     0.75*x[i] + 0.25*x[i+1], with out-of-range neighbours clamped to the
-    edge; the adjoint gathers those four contributions per input.
+    edge. So with ge, go the even and odd gradients, input i gathers
+    ((0.75*(ge[i] + go[i]) + 0.25*go[i-1]) + 0.25*ge[i+1]), and the clamped
+    edge terms + 0.25*ge[0] and then + 0.25*go[-1] come last, also when
+    the axis is one wide.
+
+    Along W the sum, its scaling and the two shifted adds run over each
+    sample's rows end to end (one flat view per sample, as the gradient may
+    be a channel slice of a concat's), so each loop spans a sample. The
+    shifted adds then mix a neighbour across each row boundary into the
+    row's first and last column, so those two columns are computed again
+    from their own row, in the order above, and written over them. Along H
+    the ops index the axis directly. Either way every input keeps the
+    expression tree above and its bits.
     """
-    g = np.moveaxis(g, axis, -1)
+    if axis == -2:
+        ge, go = g[..., 0::2, :], g[..., 1::2, :]
+        gx = ge + go
+        gx *= 0.75
+        gx[..., 1:, :] += 0.25 * go[..., :-1, :]
+        gx[..., :-1, :] += 0.25 * ge[..., 1:, :]
+        gx[..., :1, :] += 0.25 * ge[..., :1, :]
+        gx[..., -1:, :] += 0.25 * go[..., -1:, :]
+        return gx
+    flat = g.reshape(len(g), -1)
+    fe, fo = flat[:, 0::2], flat[:, 1::2]
+    fx = fe + fo
+    fx *= 0.75
+    fx[:, 1:] += 0.25 * fo[:, :-1]
+    fx[:, :-1] += 0.25 * fe[:, 1:]
     ge, go = g[..., 0::2], g[..., 1::2]
-    gx = 0.75 * (ge + go)
-    gx[..., 1:] += 0.25 * go[..., :-1]
-    gx[..., :-1] += 0.25 * ge[..., 1:]
-    gx[..., 0] += 0.25 * ge[..., 0]
-    gx[..., -1] += 0.25 * go[..., -1]
-    return np.moveaxis(gx, -1, axis)
+    gx = fx.reshape(ge.shape)
+    head = ge[..., :1] + go[..., :1]
+    head *= 0.75
+    if gx.shape[-1] == 1:
+        head += 0.25 * ge[..., :1]
+        head += 0.25 * go[..., :1]
+        gx[...] = head
+        return gx
+    tail = ge[..., -1:] + go[..., -1:]
+    tail *= 0.75
+    head += 0.25 * ge[..., 1:2]
+    head += 0.25 * ge[..., :1]
+    tail += 0.25 * go[..., -2:-1]
+    tail += 0.25 * go[..., -1:]
+    gx[..., :1], gx[..., -1:] = head, tail
+    return gx
 
 
 # added to each (sample, channel) variance before its square root

@@ -126,8 +126,10 @@ def pasb(x: Tensor, params, prefix: str,
     h = _stage(x, params, f"{prefix}.main1")
     m = _stage(h, params, f"{prefix}.main2")
     s = _stage(h, params, f"{prefix}.side1", dilation=PASB_SIDE_DILATION)
+    del h  # each array goes after its last read, for a value-only peak
     s = _stage(s, params, f"{prefix}.side2", dilation=PASB_SIDE_DILATION)
     a = sigmoid(s)
+    del s
     if capture is not None:
         capture["m"], capture["a"] = m, a
     return add(m, mul(m, a))
@@ -146,8 +148,11 @@ def nasb(x: Tensor, params, prefix: str,
     h = _stage(x, params, f"{prefix}.main1")
     m = _stage(h, params, f"{prefix}.main2")
     h2 = add(h, _stage(h, params, f"{prefix}.side1"))
+    del h  # each array goes after its last read, for a value-only peak
     s = add(h2, _stage(h2, params, f"{prefix}.side2"))
+    del h2
     a = sigmoid(s)
+    del s
     if capture is not None:
         capture["m"], capture["a"] = m, a
     return add(m, mul(m, a))
@@ -172,8 +177,8 @@ def check_input(params, shape) -> None:
 
 # Bytes per pixel per base-width channel that a value-only forward of one
 # slice holds at its peak, beside the tap products of one conv block.
-# tracemalloc peaks of two-head forwards read 47.2-47.5 at widths 8, 16
-# and 24 (128x128 to 512x512 slices), Sup1's 39.2.
+# tracemalloc peaks of MM forwards read 36.2-39.2 at widths 8, 16 and 24
+# (128x128 to 512x512 slices), MM-a, Morph and Sup1 35.2-36.9.
 FORWARD_BYTES = 48
 
 

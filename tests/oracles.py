@@ -217,6 +217,46 @@ def scatter_upsample_bilinear2_backward(g):
     return gx
 
 
+def stencil_upsample_bilinear2(x):
+    """x2 align-corners-false bilinear upsampling, rows then columns, each
+    axis as two clamped neighbour arrays built by concatenation and one
+    0.25/0.75 store per output parity: the form the package's op replaced,
+    kept to pin its bits."""
+    def axis_pass(x, axis):
+        def at(s):
+            return (Ellipsis, s) + (slice(None),) * (-1 - axis)
+
+        prev = np.concatenate([x[at(slice(None, 1))],
+                               x[at(slice(None, -1))]], axis)
+        nxt = np.concatenate([x[at(slice(1, None))],
+                              x[at(slice(-1, None))]], axis)
+        shape = list(x.shape)
+        shape[axis] *= 2
+        out = np.empty(shape, dtype=x.dtype)
+        out[at(slice(0, None, 2))] = 0.25 * prev + 0.75 * x
+        out[at(slice(1, None, 2))] = 0.75 * x + 0.25 * nxt
+        return out
+
+    return axis_pass(axis_pass(x, -2), -1)
+
+
+def stencil_upsample_bilinear2_backward(g):
+    """Adjoint of stencil_upsample_bilinear2, columns then rows, each axis
+    moved last and its four neighbour contributions added in a fixed
+    order: the form the package's op replaced, kept to pin its bits."""
+    def axis_adjoint(g, axis):
+        g = np.moveaxis(g, axis, -1)
+        ge, go = g[..., 0::2], g[..., 1::2]
+        gx = 0.75 * (ge + go)
+        gx[..., 1:] += 0.25 * go[..., :-1]
+        gx[..., :-1] += 0.25 * ge[..., 1:]
+        gx[..., 0] += 0.25 * ge[..., 0]
+        gx[..., -1] += 0.25 * go[..., -1]
+        return np.moveaxis(gx, -1, axis)
+
+    return axis_adjoint(axis_adjoint(g, 3), 2)
+
+
 def naive_average(arrays):
     """Elementwise mean of equally shaped arrays via explicit loops."""
     out = np.zeros_like(arrays[0])

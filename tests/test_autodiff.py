@@ -20,8 +20,9 @@ from gradcheck import check_grads
 from oracles import (argmax_maxpool2, argmax_morph, col2im_conv2d_input_grad,
                      naive_conv2d, naive_maxpool2, naive_upsample_bilinear2,
                      rel_err, scatter_upsample_bilinear2_backward,
-                     tap_loop_conv_flat, where_sigmoid, window_conv2d,
-                     window_conv2d_weight_grad)
+                     stencil_upsample_bilinear2,
+                     stencil_upsample_bilinear2_backward, tap_loop_conv_flat,
+                     where_sigmoid, window_conv2d, window_conv2d_weight_grad)
 
 
 def leaf(rng, *shape):
@@ -590,6 +591,74 @@ def test_upsample_backward_matches_scatter_oracle():
         (got,) = tape.nodes[-1].backward_fn(g)
         assert got.shape == shape
         assert rel_err(got, scatter_upsample_bilinear2_backward(g)) < 1e-12
+
+
+def _with_specials(rng, shape, dtype):
+    # normals spread over float32's range, with -0.0, +-inf and NaN mixed in
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+    a = a.astype(dtype)
+    pick = rng.random(shape)
+    a[pick < 0.04] = -0.0
+    a[(pick >= 0.04) & (pick < 0.06)] = np.inf
+    a[(pick >= 0.06) & (pick < 0.08)] = -np.inf
+    a[(pick >= 0.08) & (pick < 0.10)] = np.nan
+    return a
+
+
+def _same_bits_or_both_nan(a, b):
+    # a NaN's sign and payload are not part of numpy's contract: when two
+    # NaNs meet in an add, which one survives depends on the loop numpy
+    # picks (strided scalar or contiguous SIMD), and the stencil form
+    # itself gives -nan under one ufunc buffer and +nan under the other
+    nan = np.isnan(a)
+    return (_same_bits(nan, np.isnan(b))
+            and _same_bits(np.where(nan, 0, a), np.where(nan, 0, b)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_upsample_is_bitwise_the_stencil_form(dtype):
+    # the flat passes and their rebuilt row seams give every value and
+    # input gradient the bits of the concatenate and moveaxis form, both
+    # under numpy's default ufunc buffer and both under the forward's and
+    # backward's 1024:
+    # at the nets' shapes, one-wide and one-high maps and odd sizes, with
+    # -0.0, +-inf and NaN in the input and the gradient, and for a
+    # gradient that is a channel slice of a concat's, as the decoder's is
+    rng = np.random.default_rng(57)
+    shapes = [(2, 32, 8, 8), (2, 16, 16, 16), (2, 32, 16, 16),
+              (2, 16, 32, 32), (1, 8, 64, 64), (1, 1, 1, 1), (2, 3, 1, 6),
+              (2, 3, 6, 1), (1, 2, 1, 5), (2, 1, 4, 1), (2, 3, 5, 7),
+              (3, 2, 7, 2)]
+    for shape, scoped in itertools.product(shapes, (False, True)):
+        n, c, h, w = shape
+        x = _with_specials(rng, shape, dtype)
+        wide = _with_specials(rng, (n, 2 * c, 2 * h, 2 * w), dtype)
+        for g in (wide[:, c:].copy(), wide[:, :c]):
+            with (autodiff.small_ufunc_buffer() if scoped
+                  else np.errstate()), np.errstate(all="ignore"), Tape():
+                out = upsample_bilinear2(Tensor(x, requires_grad=True))
+                (got,) = out.tape.nodes[-1].backward_fn(g)
+                want = stencil_upsample_bilinear2(x)
+                want_g = stencil_upsample_bilinear2_backward(g)
+            assert _same_bits_or_both_nan(out.data, want), (shape, scoped)
+            assert _same_bits_or_both_nan(got, want_g), (shape, scoped)
+
+
+def test_upsample_forward_peaks_within_ten_and_a_half_inputs():
+    # beyond its input, the forward holds its 4x output, the 2x row pass
+    # and the column pass's 0.25 and 0.75 multiples, 2x each: 10x in all
+    # (the concatenate form peaked at 14-16x)
+    rng = np.random.default_rng(58)
+    for shape in ((2, 32, 16, 16), (2, 16, 32, 32), (1, 8, 64, 64)):
+        x = Tensor(rng.standard_normal(shape).astype(np.float32))
+        upsample_bilinear2(x)
+        tracemalloc.start()
+        try:
+            upsample_bilinear2(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.5 * x.data.nbytes, (shape, peak / x.data.nbytes)
 
 
 def test_upsample_worked_example():

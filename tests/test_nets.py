@@ -198,9 +198,9 @@ def test_encoder_rejects_indivisible_spatial_dims():
 def test_value_only_forward_peaks_within_its_counted_bytes():
     # the tracemalloc peak of one float32 slice's value-only forward, after
     # a warm-up forward: within check_forward's count, and, for a width-8
-    # MM forward of a 512x512 slice, within the 95.0 MiB that the per-tap
-    # loop peaked at plus the tap products of one block (walking whole
-    # samples, the broadcast walk peaked at 152 MiB)
+    # MM forward of a 512x512 slice, within 76.0 MiB plus the tap products
+    # of one block, about 5% above its 73.0 MiB peak at a sigmoid, so an
+    # op or block that keeps one more 8 MiB map fails
     rng = np.random.default_rng(53)
     for variant, width, side in (("MM", 8, 512), ("MM", 16, 64),
                                  ("Sup1", 8, 128)):
@@ -216,7 +216,7 @@ def test_value_only_forward_peaks_within_its_counted_bytes():
         counted = nets.FORWARD_BYTES * width * side * side + TAP_PRODUCT_BYTES
         assert peak <= counted, (variant, width, side, peak)
         if side == 512:
-            assert peak <= 95.0 * 2**20 + TAP_PRODUCT_BYTES, peak
+            assert peak <= 76.0 * 2**20 + TAP_PRODUCT_BYTES, peak
 
 
 def test_model_outputs_are_input_sized_probability_maps():
