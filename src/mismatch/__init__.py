@@ -11,7 +11,7 @@ from .autodiff import (Tape, Tensor, add, backward, concat_channels, conv2d,
 from .errors import (ConfigError, ContractError, DimensionError, FormatError,
                      GraphError, MisMatchError, NumericalAbort,
                      ParameterError)
-from .nets import (VARIANTS, Model, Variant, clone_params, decoder_forward,
+from .nets import (VARIANTS, Model, Variant, decoder_forward,
                    encoder_forward, init_params, model_forward,
                    morph_perturb, named_params, nasb, param_layout, pasb,
                    standard_block)

@@ -5,15 +5,18 @@ Configuration is flat key=value text (sections model., train., loss.,
 data.) whose keys, types and defaults `training.TrainConfig` declares;
 defaults < config file < --set overrides < dedicated flags. Every
 emitted CSV echoes the full configuration as # comments. Exit codes:
-0 success, 2 usage error, 3 data error, 4 numerical abort; failures print
-one machine-readable "MM-ERR:" line on stderr.
+0 success, 2 usage error, 3 data error, 4 numerical abort, 130 SIGINT and
+143 SIGTERM; failures print one machine-readable "MM-ERR:" line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import shutil
+import signal
 import sys
+import threading
 
 import numpy as np
 
@@ -440,17 +443,54 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread as SIGINT raises
+    KeyboardInterrupt, so that `finally` blocks and write_atomic's clean-up
+    run on the way out."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
+def _remove_if_empty(path) -> None:
+    """Remove directory `path` if no file lies anywhere below it."""
+    if not any(files for _, _, files in os.walk(path)):
+        shutil.rmtree(path, ignore_errors=True)
+
+
 def main(argv=None) -> int:
+    """Run one command and return its exit code. In the main thread,
+    SIGTERM is handled for the command's duration; SIGINT and SIGTERM
+    end it with one MM-ERR: line and 128 + the signal's number. A failed
+    command removes an --out that it made and left without a file."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
+    made_out = out is not None and not os.path.lexists(out)
+    on_main = threading.current_thread() is threading.main_thread()
+    if on_main:
+        previous = signal.signal(signal.SIGTERM, _terminate)
+    status = 0
     try:
         if getattr(args, "bins", 1) < 1:  # refused before any command works
             raise ParameterError(f"--bins must be >= 1, got {args.bins}")
         return args.func(args)
     except (MisMatchError, OSError) as e:  # OSError: unreadable, bad --out
         print(f"MM-ERR: {e}", file=sys.stderr)
-        return (2 if isinstance(e, ParameterError)
-                else 4 if isinstance(e, NumericalAbort) else 3)
+        status = (2 if isinstance(e, ParameterError)
+                  else 4 if isinstance(e, NumericalAbort) else 3)
+    except (KeyboardInterrupt, _Terminated) as e:
+        sig = (signal.SIGINT if isinstance(e, KeyboardInterrupt)
+               else signal.SIGTERM)
+        print(f"MM-ERR: interrupted by {sig.name}", file=sys.stderr)
+        status = 128 + sig
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
+        if status and made_out:
+            _remove_if_empty(out)
+    return status
 
 
 if __name__ == "__main__":

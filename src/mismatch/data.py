@@ -12,6 +12,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -65,16 +66,27 @@ class CaseSet:
 # ---------------------------------------------------------------------------
 # synthetic slices
 
-def _tube_slice(rng, size: int) -> np.ndarray:
+def _bezier_weights(size: int):
+    """The weights of p0, p1 and p2 at a tube curve's 4*size points:
+    (1 - t)**2, 2*t*(1 - t) and t**2 at t evenly spaced over [0, 1]."""
+    t = np.linspace(0.0, 1.0, 4 * size)
+    return (1 - t) ** 2, 2 * t * (1 - t), t ** 2
+
+
+def _tube_slice(rng, size: int, weights=None) -> np.ndarray:
     """1-3 smooth curves (quadratic Bezier) stamped with radius 1-3 px.
 
     Each of a curve's 4*size points sets the pixels within the radius of
     it. Only the window floor(point) - ceil(radius) .. floor(point) +
-    ceil(radius) + 1 is tested, which holds every such pixel; the window
-    is drawn on a canvas padded by 4 = ceil(3) + 1 on every side."""
+    ceil(radius) + 1 is tested, which holds every such pixel; a curve's
+    window hits are set in one scatter into a flat canvas padded by 4 =
+    ceil(3) + 1 on every side. The points run along the last axis of
+    every array, so each numpy loop spans all of them. `weights` are
+    `_bezier_weights(size)`, computed here when not given."""
+    w0, w1, w2 = _bezier_weights(size) if weights is None else weights
     pad = 4
-    canvas = np.zeros((size + 2 * pad, size + 2 * pad), dtype=bool)
-    t = np.linspace(0.0, 1.0, 4 * size)[:, None]
+    side = size + 2 * pad
+    canvas = np.zeros(side * side, dtype=bool)
     for _ in range(int(rng.integers(1, 4))):
         p0 = rng.uniform(0, size - 1, 2)
         p2 = rng.uniform(0, size - 1, 2)
@@ -82,15 +94,18 @@ def _tube_slice(rng, size: int) -> np.ndarray:
             p2 = rng.uniform(0, size - 1, 2)
         p1 = rng.uniform(0, size - 1, 2)
         radius = rng.uniform(1.0, 3.0)
-        pts = (1 - t) ** 2 * p0 + 2 * t * (1 - t) * p1 + t ** 2 * p2
+        pts = w0 * p0[:, None] + w1 * p1[:, None] + w2 * p2[:, None]
         r = math.ceil(radius)
-        # (points, axis, offset) pixel coordinates and squared distances
-        win = np.floor(pts).astype(np.intp)[:, :, None] + np.arange(-r, r + 2)
-        d2 = (win - pts[:, :, None]) ** 2
-        i, a, b = np.nonzero(d2[:, 0, :, None] + d2[:, 1, None, :]
-                             <= radius * radius)
-        canvas[win[i, 0, a] + pad, win[i, 1, b] + pad] = True
-    return canvas[pad:-pad, pad:-pad]
+        off = np.arange(-r, r + 2)[:, None]
+        # (axis, offset, point) pixel coordinates and squared distances
+        corner = np.floor(pts).astype(np.intp)
+        d2 = (corner[:, None] + off - pts[:, None]) ** 2
+        hit = d2[0, :, None] + d2[1, None] <= radius * radius
+        # (row offset, column offset, point) flat canvas indices
+        base = (corner[0] + pad) * side + corner[1] + pad
+        idx = (off * side + off.T)[:, :, None] + base
+        canvas[idx[hit]] = True
+    return canvas.reshape(side, side)[pad:-pad, pad:-pad]
 
 
 def _blob_slice(rng, size: int) -> np.ndarray:
@@ -142,7 +157,8 @@ def gen_synthetic_case(seed, kind: str, slices: int, size: int,
     """
     _check_case_params(kind, slices, size, noise_sigma)
     rng = np.random.default_rng(seed)
-    draw = _tube_slice if kind == "tubes" else _blob_slice
+    draw = (partial(_tube_slice, weights=_bezier_weights(size))
+            if kind == "tubes" else _blob_slice)
     images = np.empty((slices, 1, size, size), dtype=np.float64)
     masks = np.empty((slices, 1, size, size), dtype=np.float64)
     for s in range(slices):
@@ -535,10 +551,11 @@ CASE_OBJECT_BYTES = 2048
 # 16 B of pixels at sizes 512-2048, and three-slice ones by 2.1-12.7 B.
 TUBE_WORKING_BYTES = 16
 # Bytes per row of a tube slice that its curves' point windows hold: 4
-# points per row, each with its window's coordinates, distances and hits.
-# tracemalloc peaks of one-slice tube cases exceeded 32 B per pixel by at
-# most 10.9 KB per row at size 4 (300 seeds, noise 0 and 0.8) and 6.5 KB
-# at size 512 (20 seeds, noise 0).
+# points per row, each with its window's distances, hits and flat canvas
+# indices. tracemalloc peaks of one-slice tube cases exceeded 32 B per
+# pixel by at most 10.4 KB per row at size 4 (300 seeds, noise 0 and
+# 0.8) and 8.9 KB at size 32 (50 seeds), and stayed below it at size 512
+# (20 seeds, noise 0).
 TUBE_ROW_BYTES = 12288
 # Bytes per size**2 that _blob_slice's arrays hold at their peak: eight
 # float64 (size, size) arrays, its bool mask and the last slice's. After a

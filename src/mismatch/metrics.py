@@ -78,10 +78,10 @@ def _bin_parts(probs, gt, edges: np.ndarray, confidence: str):
     bin index, its correctness (1.0 when `binarize` agrees with the ground
     truth) and its confidence."""
     p = np.asarray(probs, dtype=np.float64).ravel()
-    g = np.asarray(gt, dtype=np.float64).ravel()
-    if p.shape != g.shape:
-        raise DimensionError(f"reliability_bins: {p.shape} vs {g.shape}")
-    correct = (binarize(p) == (g != 0)).astype(np.float64)
+    truth = np.asarray(gt).ravel() != 0
+    if p.shape != truth.shape:
+        raise DimensionError(f"reliability_bins: {p.shape} vs {truth.shape}")
+    correct = (binarize(p) == truth).astype(np.float64)
     conf = np.maximum(p, 1.0 - p) if confidence == "max" else p
     m_bins = len(edges) - 1
     idx = np.clip(np.searchsorted(edges, conf, side="left") - 1, 0, m_bins - 1)

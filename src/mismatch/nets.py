@@ -412,11 +412,3 @@ def decoder_param_names(model: Model, index: int) -> list[str]:
 
 def param_shapes(model: Model) -> list[tuple[str, tuple[int, ...]]]:
     return [(name, t.shape) for name, t in model.params.items()]
-
-
-def clone_params(model: Model) -> Model:
-    """Deep copy of the values, frozen while the source keeps training, and
-    with no gradient buffer. Training does not call it: it sums its last
-    epoch ends in place, bitwise average_checkpoints of such copies."""
-    return bind(model.decoders, param_shapes(model), model.flat.data.copy(),
-                trainable=False)

@@ -2,12 +2,15 @@
 
 Everything here is written the slow, obvious way (explicit loops, no
 shared code with the package) so the fast implementations have something
-honest to be checked against.
+honest to be checked against. The earlier forms of rewritten functions,
+and helpers only tests call, live here too.
 """
 
 import math
 
 import numpy as np
+
+from mismatch.nets import Model, bind, param_shapes
 
 
 def naive_conv2d(x, w, b, padding, dilation):
@@ -127,6 +130,31 @@ def dense_tube_slice(rng, size):
               + (xx[..., None] - pts[:, 1]) ** 2)
         mask |= d2.min(axis=-1) <= radius * radius
     return mask
+
+
+def windowed_tube_slice(rng, size):
+    """data._tube_slice's earlier form, the reference at sizes the dense
+    rasteriser cannot hold: the same draws and the same points, each
+    point's window tested as a (points, axis, offset) array, its hits found
+    with np.nonzero and set on a 2-D canvas padded by 4."""
+    pad = 4
+    canvas = np.zeros((size + 2 * pad, size + 2 * pad), dtype=bool)
+    t = np.linspace(0.0, 1.0, 4 * size)[:, None]
+    for _ in range(int(rng.integers(1, 4))):
+        p0 = rng.uniform(0, size - 1, 2)
+        p2 = rng.uniform(0, size - 1, 2)
+        while np.hypot(*(p2 - p0)) < size / 2:
+            p2 = rng.uniform(0, size - 1, 2)
+        p1 = rng.uniform(0, size - 1, 2)
+        radius = rng.uniform(1.0, 3.0)
+        pts = (1 - t) ** 2 * p0 + 2 * t * (1 - t) * p1 + t ** 2 * p2
+        r = math.ceil(radius)
+        win = np.floor(pts).astype(np.intp)[:, :, None] + np.arange(-r, r + 2)
+        d2 = (win - pts[:, :, None]) ** 2
+        i, a, b = np.nonzero(d2[:, 0, :, None] + d2[:, 1, None, :]
+                             <= radius * radius)
+        canvas[win[i, 0, a] + pad, win[i, 1, b] + pad] = True
+    return canvas[pad:-pad, pad:-pad]
 
 
 def naive_maxpool2(x):
@@ -420,3 +448,11 @@ def per_name_adam_step(named, grads, state, lr, beta1=0.9, beta2=0.999,
         v *= beta2
         v += (1.0 - beta2) * (g * g)
         tensor.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def clone_params(model: Model) -> Model:
+    """Deep copy of the values, frozen while the source keeps training, and
+    with no gradient buffer: the epoch-end snapshots whose
+    average_checkpoints train's running sum equals bitwise."""
+    return bind(model.decoders, param_shapes(model), model.flat.data.copy(),
+                trainable=False)

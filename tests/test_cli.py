@@ -1,6 +1,9 @@
 import os
 import shutil
+import signal
+import subprocess
 import sys
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -268,6 +271,56 @@ def test_train_data_errors(dataset, tmp_path, capsys):
     assert rc == 3  # unknown config key
 
 
+@pytest.mark.parametrize("sig,status", [(signal.SIGINT, 130),
+                                        (signal.SIGTERM, 143)])
+def test_a_signalled_train_exits_with_one_line_and_no_out(dataset, tmp_path,
+                                                         sig, status):
+    # --out appears once the data and the model are checked, and training
+    # then runs far longer than the wait below, so the signal lands in it
+    out = tmp_path / "run"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mismatch.cli", "train", "--variant", "MM",
+         "--data", dataset, "--out", str(out), *FAST, "--set",
+         "train.epochs=100000"], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not out.exists() and proc.poll() is None:
+            assert time.monotonic() < deadline, "--out never appeared"
+            time.sleep(0.01)
+        proc.send_signal(sig)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == status, err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("MM-ERR:"), err
+    assert sig.name in lines[0]
+    assert not out.exists()
+
+
+def test_main_handles_sigterm_only_in_the_main_thread_while_it_runs(
+        monkeypatch, tmp_path):
+    seen = []
+
+    def command(args):
+        seen.append(signal.getsignal(signal.SIGTERM))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_gen_data", command)
+    argv = ["gen-data", "--kind", "tubes", "--out", str(tmp_path / "d")]
+    before = signal.getsignal(signal.SIGTERM)
+    assert main(argv) == 0
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(main, argv).result() == 0
+    assert seen == [cli._terminate, before]
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
 def test_train_numerical_abort_exit_code(dataset, tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):  # lr=1e30 blows up
         rc = main(["train", "--variant", "MM", "--data", dataset,
@@ -275,6 +328,7 @@ def test_train_numerical_abort_exit_code(dataset, tmp_path, capsys):
                    "--set", "train.lr=1e30"] + FAST)
     assert rc == 4
     assert "MM-ERR:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # made, left empty, removed
 
 
 def test_train_non_finite_gradient_exit_code(dataset, tmp_path, capsys,

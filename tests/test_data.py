@@ -12,7 +12,7 @@ from mismatch.data import (BLOB_OBJECT_BYTES, BLOB_WORKING_BYTES,
                            read_tensor, save_caseset, split_counts,
                            write_tensor)
 from mismatch.errors import ConfigError, FormatError, ParameterError
-from oracles import dense_tube_slice
+from oracles import dense_tube_slice, windowed_tube_slice
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +74,27 @@ def test_tube_slice_equals_the_dense_rasteriser(size, seeds):
             np.testing.assert_array_equal(_tube_slice(windowed, size),
                                           dense_tube_slice(dense, size))
             assert windowed.bit_generator.state == dense.bit_generator.state
+
+
+@pytest.mark.parametrize("size", [256, 512])
+@pytest.mark.parametrize("noise", [0.0, 0.8])
+def test_tube_cases_are_bitwise_the_windowed_rasteriser(size, noise):
+    # where the dense rasteriser cannot run, the earlier windowed form is
+    # the reference: the same masks and images slice for slice, from the
+    # same draws, leaving the case's generator where it leaves its own
+    for seed in range(3):
+        rng = np.random.default_rng(seed)  # default_rng hands it back as is
+        case = gen_synthetic_case(rng, "tubes", 2, size, noise)
+        ref = np.random.default_rng(seed)
+        for s in range(2):
+            m = windowed_tube_slice(ref, size)
+            assert m.any()  # so gen_synthetic_case drew it once
+            image = m.astype(np.float64)
+            if noise > 0:
+                image += ref.normal(0.0, noise, (size, size))
+            np.testing.assert_array_equal(case.mask[s, 0], m)
+            np.testing.assert_array_equal(case.image[s, 0], image)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_a_512_tube_case_draws_in_a_small_working_set():

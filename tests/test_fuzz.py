@@ -19,8 +19,9 @@ from mismatch.data import (SPLIT_NAMES, TENSOR_MAGIC, CaseSet, gen_caseset,
 from mismatch.errors import ConfigError, FormatError
 from mismatch.metrics import (MetricsRow, emit_metrics_csv, fmt_float,
                               read_metrics_csv)
-from mismatch.nets import Model, clone_params, init_params
+from mismatch.nets import Model, init_params
 from mismatch.training import echo_value, load_model, save_checkpoint
+from oracles import clone_params
 
 VALID_ECHO = {"model.variant": "Sup1", "model.channels": "1",
               "model.in_channels": "1", "train.seed": "0"}

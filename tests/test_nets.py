@@ -14,7 +14,7 @@ from mismatch.autodiff import (TAP_PRODUCT_BYTES, Tape, Tensor, add, backward,
 from mismatch.errors import (ConfigError, ContractError, DimensionError,
                              ParameterError)
 from mismatch.nets import (PASB_SIDE_DILATION, VARIANTS, _draw, _stage,
-                           average_prediction, bind, clone_params,
+                           average_prediction, bind,
                            decoder_forward, decoder_param_names,
                            encoder_forward, init_params, model_forward,
                            morph_perturb, named_params, nasb, param_layout,
@@ -23,7 +23,7 @@ from mismatch.training import (TrainConfig, average_checkpoints,
                                consistency_loss, dice_loss, load_model,
                                save_checkpoint)
 from gradcheck import check_grads
-from oracles import naive_morph
+from oracles import clone_params, naive_morph
 
 BLK = "dec0.block2"  # the C -> C decoder block
 

@@ -12,8 +12,7 @@ from mismatch.autodiff import Tape, Tensor, backward, mse, scale, add
 from mismatch.data import casewise_normalize, gen_synthetic_case
 from mismatch.errors import (ConfigError, ContractError, DimensionError,
                              FormatError, NumericalAbort)
-from mismatch.nets import (clone_params, init_params, model_forward,
-                           named_params)
+from mismatch.nets import init_params, model_forward, named_params
 from mismatch.training import (AdamState, HistoryRow, TrainConfig, adam_step,
                                alpha_at, average_checkpoints, consistency_loss,
                                dice_loss, load_checkpoint, load_model,
@@ -21,7 +20,8 @@ from mismatch.training import (AdamState, HistoryRow, TrainConfig, adam_step,
                                save_checkpoint, train, write_history_csv,
                                zero_grads)
 from gradcheck import check_grads
-from oracles import fd_gradient, naive_average, per_name_adam_step, rel_err
+from oracles import (clone_params, fd_gradient, naive_average,
+                     per_name_adam_step, rel_err)
 
 
 class StubStream:
